@@ -1,8 +1,9 @@
 # Build / verification entry points. `make ci` is the gate every change
 # must pass: compile, vet, the full test suite under the race detector
-# (the parallel experiment pipeline makes -race load-bearing), and the
+# (the parallel experiment pipeline makes -race load-bearing), the
 # invariance suite re-run under the legacy switch interpreter so both
-# execution tiers stay pinned to the same goldens.
+# execution tiers stay pinned to the same goldens, and one end-to-end pass
+# over every command-line surface.
 GO ?= go
 
 # The workload and harness packages run whole experiment grids; under
@@ -16,9 +17,9 @@ RACE_TIMEOUT ?= 3600s
 BENCH_PREV ?= BENCH_4.json
 BENCH_NEXT ?= BENCH_5.json
 
-.PHONY: ci build vet test race bench bench-compare smokebench invariance blocktier faults telemetry defenses pool service obsv
+.PHONY: ci build vet test race bench bench-compare smokebench invariance smoke
 
-ci: build vet race invariance blocktier faults telemetry defenses pool service obsv smokebench
+ci: build vet race invariance smoke smokebench
 
 build:
 	$(GO) build ./...
@@ -32,83 +33,30 @@ test:
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
 
-# Invariance + tier differential under every execution tier. The plain run
-# (block tier, the default) already happens inside `race`; this re-runs
-# the golden-pinned suites with SMOKESTACK_EXEC=switch so an accelerated-
-# tier bug can never hide behind a matching golden regeneration — the
-# legacy interpreter must reproduce the exact same bytes.
+# The golden-pinned suites re-run under SMOKESTACK_EXEC=switch. The plain
+# run (block tier, the default) already happens inside `race`, tier
+# differentials included; this one makes the legacy interpreter reproduce
+# the exact same bytes, so an accelerated-tier bug can never hide behind a
+# matching golden regeneration.
 invariance:
-	$(GO) test -run 'TestCycleInvariance|TestRecordInvariance|TestTierDifferential' -count=1 .
 	SMOKESTACK_EXEC=switch $(GO) test -run 'TestCycleInvariance|TestRecordInvariance' -count=1 .
 
-# Block-tier gate: the block-formation property tests and cancellation /
-# fault / profile regressions in internal/vm, the block slice of the
-# differential grid, and the golden-pinned invariance suites re-run under
-# SMOKESTACK_EXEC=block and =threaded — all three tiers must reproduce the
-# recorded goldens byte-for-byte, un-regenerated.
-blocktier:
-	$(GO) test -run 'TestBlock|TestPrewarmBlockTier|TestCancelledRunProfileFlush|TestFaultedRunProfileFlush|TestShadowStack' -count=1 ./internal/vm/
-	$(GO) test -run 'TestTierDifferential(Generated)?/[^/]+/[^/]+/block' -count=1 .
-	SMOKESTACK_EXEC=block $(GO) test -run 'TestCycleInvariance|TestRecordInvariance' -count=1 .
-	SMOKESTACK_EXEC=threaded $(GO) test -run 'TestCycleInvariance|TestRecordInvariance' -count=1 .
-
-# Robustness gate: the fault-injection differential (fault-injected runs
-# bit-identical across both execution tiers), the watchdog/cancellation
-# suite, and the rng resilience tests — all under -race, since the
-# watchdog's AfterFunc fires on a foreign goroutine — then the
-# entropy-brownout sweep end-to-end: it must exit 0 with every failed cell
-# classified (injected), no panics.
-faults:
-	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'TestFaultInjection|TestWatchdog|TestRunContext' -count=1 \
-		. ./internal/vm/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/faultinject/ ./internal/rng/ ./internal/exp/
+# End-to-end pass over the command-line surfaces; every test suite these
+# commands exercise already runs inside `race`. The fault sweep must exit
+# 0 with every failed cell classified (injected), with and without
+# telemetry; the metric snapshot must render through benchjson -metrics;
+# smokestackd's self-test drives submit → stream → drain plus a traced
+# canary detection through the flight recorder and audit log; a span-mode
+# fig4 trace must fold through benchjson -tracetree, which exits non-zero
+# on any reconciliation mismatch; and the defense matrix renders
+# end-to-end.
+smoke:
 	$(GO) run ./cmd/dopbench -faults > /dev/null
-
-# Observability gate. Dormancy: attaching a registry/tracer must change no
-# record and no modeled cycle (profile reconciliation pins attribution to
-# Stats.Cycles on both tiers; the harness test diffs observed vs dormant
-# records; AllocsPerRun proves the hot paths allocate nothing extra). All
-# under -race — the registry is written from every runner worker. Then an
-# end-to-end smoke: `dopbench -metrics -trace` over the fault sweep must
-# produce a parseable snapshot and trace (rendered via benchjson -metrics).
-telemetry:
-	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'TestProfile|TestTelemetry|TestHealthOf|TestBackoffAbortsOnCancel|TestHooksFireInOrder|TestTracer|TestRegistry' -count=1 \
-		./internal/vm/ ./internal/telemetry/ ./internal/rng/ ./internal/exp/ ./internal/harness/
 	$(GO) run ./cmd/dopbench -faults -metrics /tmp/smokestack-metrics.json -trace /tmp/smokestack-trace.jsonl > /dev/null
 	$(GO) run ./cmd/benchjson -metrics /tmp/smokestack-metrics.json > /dev/null
-
-# Session-observability gate. Under -race: span-mode dormancy (a session
-# run with tracing, labeled metrics, CellDone capture and an audit sink
-# streams records byte-identical to the bare run), trace-tree
-# reconciliation (every run span's rows sum to its recorded total and the
-# folded per-cell totals equal the flight/snapshot totals, bit-for-bit),
-# label-cardinality bounds under a tenant flood, the hardened trace/audit
-# readers, and the flight-recorder ring + goroutine-leak checks. Then two
-# end-to-end passes: the smokestackd -selftest observability cycle (traced
-# canary detection → flight record → folded trace → audit log, dormant
-# twin byte-identical), and a span-mode dopbench trace folded through
-# benchjson -tracetree, which exits non-zero on any reconciliation
-# mismatch.
-obsv:
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestSpanMode|TestAuditDetection|TestLabel|TestPrometheus|TestReadTraceTruncated|TestSpanEvent|TestSpanIdentity|TestFoldTrace|TestReconcile|TestMergeRows|TestAuditSink|TestSweepLabels|TestTracedSession|TestFlightRecorder|TestStatsJSONShape|TestLabeledMetrics' \
-		./internal/telemetry/ ./internal/harness/ ./internal/server/
 	$(GO) run ./cmd/smokestackd -addr 127.0.0.1:0 -selftest > /dev/null
 	$(GO) run ./cmd/dopbench -exp fig4 -trace /tmp/smokestack-spans.jsonl > /dev/null
 	$(GO) run ./cmd/benchjson -tracetree /tmp/smokestack-spans.jsonl > /dev/null
-
-# Defense-zoo gate: the registry/layout property tests (every registered
-# engine × random frames), the cross-defense matrix smoke (overhead +
-# entropy + full attack corpus for the three zoo engines), and the
-# tier-differential suite restricted to the zoo — the full differential
-# grid already runs in `invariance`; this subset re-runs fast after
-# layout-engine edits. Ends with the matrix itself rendered end-to-end
-# through dopbench -engines.
-defenses:
-	$(GO) test -run 'TestEngineLayoutProperties|TestUnknownEngineError|TestDefensesSmoke|TestDefensesRowOrder' -count=1 ./internal/harness/
-	$(GO) test -run 'TestTierDifferential/[^/]+/(cleanstack|shadowstack|stackato)' -count=1 .
 	$(GO) run ./cmd/dopbench -exp defenses -engines cleanstack,shadowstack,stackato > /dev/null
 
 # Full benchmark sweep, snapshotted to $(BENCH_NEXT) (see cmd/benchjson).
@@ -143,27 +91,3 @@ bench-compare:
 smokebench:
 	$(GO) test -bench='VMThroughput|VMWorkloads|MemAccess|Table1|RunSetup' \
 		-benchtime=1x -run='^$$' .
-
-# Service gate: build smokestackd, run its endpoint smoke end-to-end
-# against a live listener (submit → stream → drain via -selftest), then
-# the full server suite — admission/backpressure units, the chaos suite
-# (typed errors only, no goroutine leaks, drain under load, byte parity
-# with the offline pipeline), the fuzz seed corpus, the session layer,
-# and the MachinePool race hammer — all under -race, since every piece
-# is written from concurrent request goroutines.
-service:
-	$(GO) build -o /dev/null ./cmd/smokestackd
-	$(GO) run ./cmd/smokestackd -addr 127.0.0.1:0 -selftest > /dev/null
-	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/server/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestSession|TestRunnerCtxCancel|TestPreCancelledContextSkipsCells|TestMachinePoolRaceHammer' \
-		./internal/harness/ ./internal/exp/ ./internal/vm/
-
-# Machine-reuse gate: the Reset-vs-New differentials and snapshot/restore
-# suites (vm, mem), the registry-wide state-leak matrix, and the
-# pooled-vs-unpooled record differential — under -race, since the pool is
-# shared across the runner's workers.
-pool:
-	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/vm ./internal/mem
-	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/harness \
-		-run 'TestPooledMatchesUnpooled|TestMachineReuseNoLeakAcrossEngines|TestRunOnceRetryReusesMachine'

@@ -99,13 +99,15 @@ int main() {
 func TestMachineReuseNoLeakAcrossEngines(t *testing.T) {
 	w := &workload.Workload{Name: "leakprobe", Source: leakProbeSrc}
 	prog := w.Prog()
-	opts := func(seed uint64) *vm.Options {
-		return &vm.Options{TRNG: rng.SeededTRNG(seed), StepLimit: 10_000_000}
-	}
-	for _, tier := range []string{"switch", "threaded", "block"} {
+	for _, tier := range []struct {
+		name string
+		exec vm.ExecTier
+	}{{"switch", vm.TierSwitch}, {"threaded", vm.TierCompiled}, {"block", vm.TierBlock}} {
+		opts := func(seed uint64) *vm.Options {
+			return &vm.Options{TRNG: rng.SeededTRNG(seed), Exec: tier.exec, StepLimit: 10_000_000}
+		}
 		for _, name := range harness.EngineNames() {
-			t.Run(tier+"/"+name, func(t *testing.T) {
-				t.Setenv("SMOKESTACK_EXEC", tier)
+			t.Run(tier.name+"/"+name, func(t *testing.T) {
 				seed := uint64(0xfeed)
 				pool := vm.NewMachinePool(0)
 

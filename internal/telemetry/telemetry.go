@@ -132,14 +132,16 @@ type Cell struct {
 	counters map[string]uint64
 }
 
-// AddRows appends attribution rows (already grid-rounded by the producer).
+// AddRows merges attribution rows (already grid-rounded by the producer)
+// into the cell's rows, so a long-lived cell holds one row per (kind,
+// name) however many runs flush into it.
 func (c *Cell) AddRows(rows []Row) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rows = append(c.rows, rows...)
+	c.rows = MergeRows(c.rows, rows)
 }
 
 // AddCounter accumulates a named per-cell counter.
@@ -198,26 +200,8 @@ func (c *Cell) snap(name string) CellSnap {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := CellSnap{Name: name, WallSeconds: c.wall, Attempts: c.attempts}
-	// Merge duplicate rows (several machines in one cell flush the same
-	// buckets) and order deterministically.
-	type key struct{ kind, name string }
-	idx := make(map[key]int)
-	for _, r := range c.rows {
-		k := key{r.Kind, r.Name}
-		if i, ok := idx[k]; ok {
-			s.Rows[i].Count += r.Count
-			s.Rows[i].Cycles += r.Cycles
-		} else {
-			idx[k] = len(s.Rows)
-			s.Rows = append(s.Rows, r)
-		}
-	}
-	sort.Slice(s.Rows, func(i, j int) bool {
-		if s.Rows[i].Kind != s.Rows[j].Kind {
-			return s.Rows[i].Kind < s.Rows[j].Kind
-		}
-		return s.Rows[i].Name < s.Rows[j].Name
-	})
+	// AddRows keeps the rows merged and ordered; snapshot a copy.
+	s.Rows = append([]Row(nil), c.rows...)
 	for _, r := range s.Rows {
 		s.TotalCycles += r.Cycles
 	}

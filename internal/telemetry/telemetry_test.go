@@ -79,6 +79,47 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestCellAddRowsBounded pins that a long-lived cell merges on insert: a
+// thousand flushes of one row set leave one stored row per (kind, name),
+// and the snapshot equals a single merge of all thousand flushes bit for
+// bit.
+func TestCellAddRowsBounded(t *testing.T) {
+	set := []Row{
+		{Kind: "op", Name: "load", Count: 3, Cycles: GridRound(6.25)},
+		{Kind: "cat", Name: "host", Count: 1, Cycles: GridRound(1.0 / 3)},
+		{Kind: "op", Name: "add", Count: 7, Cycles: GridRound(7)},
+		{Kind: "op", Name: "load", Count: 1, Cycles: GridRound(2)},
+	}
+	const flushes = 1000
+	r := NewRegistry()
+	c := r.Cell("session/fixed/run0")
+	var all []Row
+	for i := 0; i < flushes; i++ {
+		c.AddRows(set)
+		all = append(all, set...)
+	}
+	if n := len(c.rows); n != 3 {
+		t.Fatalf("cell stores %d rows after %d flushes, want 3", n, flushes)
+	}
+	want := MergeRows(nil, all)
+	var wantTotal float64
+	for _, w := range want {
+		wantTotal += w.Cycles
+	}
+	got := r.Snapshot().Cells[0]
+	if len(got.Rows) != len(want) {
+		t.Fatalf("snapshot rows %+v, want %+v", got.Rows, want)
+	}
+	for i := range want {
+		if got.Rows[i] != want[i] {
+			t.Fatalf("row %d: %+v, want %+v", i, got.Rows[i], want[i])
+		}
+	}
+	if got.TotalCycles != wantTotal {
+		t.Fatalf("TotalCycles %v, want %v", got.TotalCycles, wantTotal)
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("runs").Add(7)

@@ -93,7 +93,7 @@ type blockDesc struct {
 // outside; simple branches may only terminate a block (see blockTerm).
 func blockable(op cop) bool {
 	switch op {
-	case cJmp, cBr, cCall, cCallHost, cRet, cRetVoid, cBad, cBlock:
+	case cJmp, cBr, cCall, cCallHost, cRet, cRetVoid, cBad, cBlock, cCount:
 		return false
 	}
 	switch {
@@ -217,8 +217,8 @@ func (c *CodeCache) hotCounts(prog *ir.Program) [][]uint64 {
 // blockCompiled returns the block-formed program for the key, building it
 // on miss from the threaded stream plus the memoized hot counts. The main
 // cache lock is never held across the pre-run.
-func (c *CodeCache) blockCompiled(prog *ir.Program, costs Costs, addrExtra float64, globalAddr, dataAddr []uint64) *compiledProgram {
-	k := codeKey{prog: prog, costs: costs, addrExtra: addrExtra}
+func (c *CodeCache) blockCompiled(prog *ir.Program, costs Costs, addrExtra float64, prof bool, globalAddr, dataAddr []uint64) *compiledProgram {
+	k := codeKey{prog: prog, costs: costs, addrExtra: addrExtra, prof: prof}
 	c.mu.Lock()
 	if bp, ok := c.blockProgs[k]; ok {
 		c.blockHits++
@@ -227,7 +227,7 @@ func (c *CodeCache) blockCompiled(prog *ir.Program, costs Costs, addrExtra float
 	}
 	c.mu.Unlock()
 
-	base := c.compiled(prog, costs, addrExtra, globalAddr, dataAddr)
+	base := c.compiled(prog, costs, addrExtra, prof, globalAddr, dataAddr)
 	counts := c.hotCounts(prog)
 	ct := buildCostTableFrom(&costs, addrExtra)
 	bp := blockProgram(base, counts, &ct)
@@ -265,7 +265,7 @@ func blockProgram(base *compiledProgram, counts [][]uint64, ct *[ir.NumOps]float
 	if hotMin < blockHotFloor {
 		hotMin = blockHotFloor
 	}
-	bp := &compiledProgram{funcs: make([]compiledFunc, len(base.funcs))}
+	bp := &compiledProgram{funcs: make([]compiledFunc, len(base.funcs)), bbs: base.bbs}
 	changed := false
 	for i := range base.funcs {
 		bp.funcs[i] = blockFunc(&base.funcs[i], counts[i], hotMin)
@@ -294,7 +294,7 @@ func blockFunc(cf *compiledFunc, counts []uint64, hotMin uint64) compiledFunc {
 	for i := range code {
 		c := &code[i]
 		switch c.op {
-		case cJmp:
+		case cJmp, cCount:
 			target[c.t0] = true
 		case cBr, cEqBr, cNeBr, cLtBr, cLeBr, cGtBr, cGeBr,
 			cConstEqBr, cConstNeBr, cConstLtBr, cConstLeBr, cConstGtBr, cConstGeBr:
@@ -365,15 +365,16 @@ func blockFunc(cf *compiledFunc, counts []uint64, hotMin uint64) compiledFunc {
 	}
 
 	// Redirect every branch landing on a block leader — in the overlay
-	// stream, inside each block's uop copies (self-loop back-edges), and
-	// on each cBlock's fall-through continuation — so hot control flow
-	// re-enters superinstructions while the plain copies remain reachable
-	// for mid-block resume.
+	// stream, inside each block's uop copies (self-loop back-edges), on
+	// each cBlock's fall-through continuation, and on each cCount's
+	// continuation in a profiled stream — so hot control flow re-enters
+	// superinstructions while the plain copies remain reachable for
+	// mid-block resume.
 	remap := func(cs []cinstr) {
 		for j := range cs {
 			c := &cs[j]
 			switch c.op {
-			case cJmp:
+			case cJmp, cCount:
 				c.t0 = redirect[c.t0]
 			case cBr, cEqBr, cNeBr, cLtBr, cLeBr, cGtBr, cGeBr,
 				cConstEqBr, cConstNeBr, cConstLtBr, cConstLeBr, cConstGtBr, cConstGeBr:

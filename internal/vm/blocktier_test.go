@@ -88,7 +88,7 @@ func TestBlockFormationInvariants(t *testing.T) {
 		TRNG: rng.SeededTRNG(1), Exec: TierBlock, CodeCache: cc,
 	})
 	bp := m.ccode
-	base := cc.compiled(blockProbeProg, costs, 0, m.globalAddr, m.dataAddr)
+	base := cc.compiled(blockProbeProg, costs, 0, false, m.globalAddr, m.dataAddr)
 	if bp == base {
 		t.Fatal("no blocks formed for the hot probe program")
 	}
@@ -254,19 +254,7 @@ func TestBlockTierMatchesSwitch(t *testing.T) {
 // block tier must report the StepLimit fault (or clean result) with stats
 // bit-identical to the switch oracle.
 func TestBlockTierStepLimitSweep(t *testing.T) {
-	const src = `
-long main() {
-	long i;
-	long acc;
-	acc = 0;
-	i = 0;
-	while (i < 100000) {
-		acc = acc + i * 3 + (acc & 7);
-		i = i + 1;
-	}
-	return acc & 262143;
-}`
-	prog := compile.MustCompile("sweep.c", src)
+	prog := compile.MustCompile("sweep.c", stepSweepSrc)
 	run := func(tier ExecTier, lim uint64) (int64, string, Stats) {
 		m := New(prog, layout.NewFixed(), &Env{}, &Options{
 			TRNG: rng.SeededTRNG(3), Exec: tier, StepLimit: lim,
@@ -285,6 +273,57 @@ long main() {
 			t.Fatalf("limit %d: switch (%d,%q,%+v) != block (%d,%q,%+v)",
 				lim, vS, eS, sS, vB, eB, sB)
 		}
+	}
+}
+
+// stepSweepSrc is a hot fused loop whose first few hundred steps cross
+// fused groups and blocks at every offset.
+const stepSweepSrc = `
+long main() {
+	long i;
+	long acc;
+	acc = 0;
+	i = 0;
+	while (i < 100000) {
+		acc = acc + i * 3 + (acc & 7);
+		i = i + 1;
+	}
+	return acc & 262143;
+}`
+
+// TestProfileStepLimitSweep runs the step-limit sweep profiled on both
+// compiled tiers: wherever the limit lands — a group boundary, inside a
+// fused group, or where a block falls back to its plain copy — op rows
+// must count exactly Stats.Instructions and row cycles must match
+// Stats.Cycles.
+func TestProfileStepLimitSweep(t *testing.T) {
+	prog := compile.MustCompile("sweep.c", stepSweepSrc)
+	for _, tc := range []struct {
+		name string
+		tier ExecTier
+	}{{"compiled", TierCompiled}, {"block", TierBlock}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for lim := uint64(1); lim <= 600; lim++ {
+				p := NewProfile()
+				m := New(prog, layout.NewFixed(), &Env{}, &Options{
+					TRNG: rng.SeededTRNG(3), Exec: tc.tier, StepLimit: lim, Prof: p,
+				})
+				m.Run()
+				st := m.Stats()
+				var ops uint64
+				var cyc float64
+				for _, r := range p.Rows() {
+					if r.Kind == "op" {
+						ops += r.Count
+					}
+					cyc += r.Cycles
+				}
+				if ops != st.Instructions || math.Abs(cyc-st.Cycles) > 1e-9 {
+					t.Fatalf("limit %d: op rows %d, cycles %v; stats %d instructions, %v cycles",
+						lim, ops, cyc, st.Instructions, st.Cycles)
+				}
+			}
+		})
 	}
 }
 
@@ -317,7 +356,7 @@ func TestBlockTierNonIntegralCostsUnchanged(t *testing.T) {
 	m := New(blockProbeProg, layout.NewFixed(), &Env{}, &Options{
 		TRNG: rng.SeededTRNG(1), Exec: TierBlock, CodeCache: cc, Costs: &costs,
 	})
-	base := cc.compiled(blockProbeProg, costs, 0, m.globalAddr, m.dataAddr)
+	base := cc.compiled(blockProbeProg, costs, 0, false, m.globalAddr, m.dataAddr)
 	if m.ccode != base {
 		t.Fatal("non-integral cost table must disable block formation")
 	}
@@ -484,6 +523,53 @@ long main() {
 			}
 			if rel := math.Abs(cyc-st.Cycles) / st.Cycles; rel >= 1e-9 {
 				t.Fatalf("faulted-run cycle drift: rows %v, stats %v (rel %g)", cyc, st.Cycles, rel)
+			}
+		})
+	}
+}
+
+// TestFaultedFusedGroupProfile faults the memory access of a fused group
+// (constant-scaled index, add, load): the group's leading constituents ran
+// and were charged before the fault, so the profile must charge them too
+// and row cycles must still match Stats.Cycles.
+func TestFaultedFusedGroupProfile(t *testing.T) {
+	const src = `
+long main() {
+	long a[4];
+	long i;
+	long acc;
+	acc = 0;
+	i = 0;
+	while (i < 50) {
+		acc = acc + i;
+		i = i + 1;
+	}
+	return a[acc * 100000000];
+}`
+	prog := compile.MustCompile("fusedfault.c", src)
+	for _, tc := range []struct {
+		name string
+		tier ExecTier
+	}{{"switch", TierSwitch}, {"compiled", TierCompiled}, {"block", TierBlock}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProfile()
+			m := New(prog, layout.NewFixed(), &Env{}, &Options{TRNG: rng.SeededTRNG(5), Exec: tc.tier, Prof: p})
+			var mf *MemFault
+			if _, err := m.Run(); !errors.As(err, &mf) {
+				t.Fatalf("want *MemFault, got %v", err)
+			}
+			st := m.Stats()
+			var ops uint64
+			var cyc float64
+			for _, r := range p.Rows() {
+				if r.Kind == "op" {
+					ops += r.Count
+				}
+				cyc += r.Cycles
+			}
+			if ops != st.Instructions || cyc != st.Cycles {
+				t.Fatalf("op rows %d, cycles %v; stats %d instructions, %v cycles",
+					ops, cyc, st.Instructions, st.Cycles)
 			}
 		})
 	}

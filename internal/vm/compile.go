@@ -26,9 +26,10 @@
 // goldens (testdata/cycles_golden.json, records_golden.jsonl) pin both
 // tiers at once.
 //
-// Compiled streams depend on the program, the cost model, and the engine
-// only through its scalar AddrLocalExtraCycles surcharge — never on
-// per-run or per-invocation randomness — so they are shared across
+// Compiled streams depend on the program, the cost model, the engine
+// only through its scalar AddrLocalExtraCycles surcharge, and whether a
+// profile is attached (countProgram) — never on per-run or
+// per-invocation randomness — so they are shared across
 // Machines and engines through a concurrency-safe CodeCache (mirroring
 // pbox.Cache and layout.PlanCache): the parallel experiment runner
 // compiles each workload once across all cells.
@@ -174,6 +175,12 @@ const (
 	// Fields: a = block index into compiledFunc.blocks, t0 = fall-through
 	// continuation index (unused when the block ends in its own branch).
 	cBlock
+
+	// cCount leads every basic block of a profiled stream (countFunc) and
+	// only there: it increments the block's count (a = index into
+	// compiledProgram.bbs) and continues at t0, the block's first cop,
+	// consuming no step and no cycle. Dormant streams never contain it.
+	cCount
 )
 
 // cinstr is one compiled instruction. All operands are pre-decoded; for
@@ -216,18 +223,31 @@ type compiledFunc struct {
 }
 
 // compiledProgram holds every function's stream, indexed by ir.Function.ID.
+// Profiled programs (countProgram) also carry their basic blocks, indexed
+// by the a field of each block's cCount.
 type compiledProgram struct {
 	funcs []compiledFunc
+	bbs   []basicBlock
+}
+
+// basicBlock is one basic block of a profiled stream: the cops
+// funcs[fn].code[start:end], led by the cCount at start-1. The profile
+// flush charges each block's count to these static cops.
+type basicBlock struct {
+	fn         int32
+	start, end int32
 }
 
 // codeKey identifies a compiled program: streams bake in per-op costs
 // (cost model + the engine's scalar AddrLocal surcharge) and the program's
 // deterministic global/rodata addresses, so two Machines share a stream
-// exactly when these three agree.
+// exactly when these three agree. prof selects the profiled variant, the
+// same stream with a cCount at every basic-block leader.
 type codeKey struct {
 	prog      *ir.Program
 	costs     Costs
 	addrExtra float64
+	prof      bool
 }
 
 // CodeCache is a concurrency-safe cache of compiled programs, the
@@ -323,23 +343,38 @@ func (c *CodeCache) BlockLen() int {
 // compiled returns the compiled program for the key, building it on miss.
 // Compilation happens under the lock: it is a fast single pass, and
 // serializing builders guarantees each program compiles exactly once.
-func (c *CodeCache) compiled(prog *ir.Program, costs Costs, addrExtra float64, globalAddr, dataAddr []uint64) *compiledProgram {
-	k := codeKey{prog: prog, costs: costs, addrExtra: addrExtra}
+func (c *CodeCache) compiled(prog *ir.Program, costs Costs, addrExtra float64, prof bool, globalAddr, dataAddr []uint64) *compiledProgram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.compiledLocked(codeKey{prog: prog, costs: costs, addrExtra: addrExtra, prof: prof}, globalAddr, dataAddr)
+}
+
+// compiledLocked is compiled with c.mu held. A profiled program is
+// derived from the dormant one, which is compiled first if needed.
+func (c *CodeCache) compiledLocked(k codeKey, globalAddr, dataAddr []uint64) *compiledProgram {
 	if cp, ok := c.progs[k]; ok {
 		c.hits++
 		return cp
 	}
 	c.misses++
-	ct := buildCostTableFrom(&costs, addrExtra)
-	cp := &compiledProgram{funcs: make([]compiledFunc, len(prog.Funcs))}
-	for i, fn := range prog.Funcs {
-		cp.funcs[i] = compileFunc(fn, &ct, globalAddr, dataAddr)
+	prog := k.prog
+	var cp *compiledProgram
+	name := prog.Name
+	if k.prof {
+		dormant := k
+		dormant.prof = false
+		cp = countProgram(c.compiledLocked(dormant, globalAddr, dataAddr))
+		name += "+counts"
+	} else {
+		ct := buildCostTableFrom(&k.costs, k.addrExtra)
+		cp = &compiledProgram{funcs: make([]compiledFunc, len(prog.Funcs))}
+		for i, fn := range prog.Funcs {
+			cp.funcs[i] = compileFunc(fn, &ct, globalAddr, dataAddr)
+		}
 	}
 	c.progs[k] = cp
 	if c.onCompile != nil {
-		c.onCompile(prog.Name, len(prog.Funcs))
+		c.onCompile(name, len(prog.Funcs))
 	}
 	return cp
 }
@@ -745,8 +780,14 @@ func compileFunc(fn *ir.Function, ct *[ir.NumOps]float64, globalAddr, dataAddr [
 	// Rewrite branch targets from IR indexes to compiled-stream indexes.
 	// Every target begins a group (enforced above), so old2new is defined
 	// at every target.
-	for j := range cf.code {
-		c := &cf.code[j]
+	retarget(cf.code, old2new)
+	return cf
+}
+
+// retarget maps every branch target in code through old2new.
+func retarget(code []cinstr, old2new []int32) {
+	for j := range code {
+		c := &code[j]
 		switch c.op {
 		case cJmp:
 			c.t0 = old2new[c.t0]
@@ -756,5 +797,67 @@ func compileFunc(fn *ir.Function, ct *[ir.NumOps]float64, globalAddr, dataAddr [
 			c.t1 = old2new[c.t1]
 		}
 	}
-	return cf
+}
+
+// countProgram derives the profiled variant of a threaded program: every
+// function's stream with a cCount inserted at each basic-block leader, and
+// the program-wide basic-block table those cCounts index.
+func countProgram(base *compiledProgram) *compiledProgram {
+	cp := &compiledProgram{funcs: make([]compiledFunc, len(base.funcs))}
+	for i := range base.funcs {
+		cp.funcs[i], cp.bbs = countFunc(&base.funcs[i], int32(i), cp.bbs)
+	}
+	return cp
+}
+
+// countFunc inserts a cCount before every basic-block leader of a threaded
+// stream — the entry, every branch target, and every cop after a branch or
+// return — appending the blocks to bbs. Calls do not end a block: a callee
+// that fails leaves the rest of the caller's block unrun, which the driver
+// settles (profLeave). Branches land on the cCount of their target block.
+func countFunc(cf *compiledFunc, fn int32, bbs []basicBlock) (compiledFunc, []basicBlock) {
+	code := cf.code
+	n := len(code)
+	leader := make([]bool, n)
+	if n > 0 {
+		leader[0] = true
+	}
+	for i := range code {
+		c := &code[i]
+		switch c.op {
+		case cJmp:
+			leader[c.t0] = true
+		case cBr, cEqBr, cNeBr, cLtBr, cLeBr, cGtBr, cGeBr,
+			cConstEqBr, cConstNeBr, cConstLtBr, cConstLeBr, cConstGtBr, cConstGeBr:
+			leader[c.t0] = true
+			leader[c.t1] = true
+		case cRet, cRetVoid:
+		default:
+			continue
+		}
+		if i+1 < n {
+			leader[i+1] = true
+		}
+	}
+
+	out := make([]cinstr, 0, n+n/4)
+	old2new := make([]int32, n)
+	first := len(bbs)
+	for i := range code {
+		old2new[i] = int32(len(out))
+		if leader[i] {
+			if len(bbs) > first {
+				bbs[len(bbs)-1].end = int32(len(out))
+			}
+			start := int32(len(out)) + 1
+			out = append(out, cinstr{op: cCount, a: int32(len(bbs)), t0: start, pc: code[i].pc})
+			bbs = append(bbs, basicBlock{fn: fn, start: start})
+		}
+		out = append(out, code[i])
+	}
+	if len(bbs) > first {
+		bbs[len(bbs)-1].end = int32(len(out))
+	}
+	retarget(out, old2new)
+	return compiledFunc{code: out, argLists: cf.argLists}, bbs
 }

@@ -277,14 +277,17 @@ func TestExecTierSelection(t *testing.T) {
 		}
 	})
 	t.Run("env-selects-threaded", func(t *testing.T) {
+		// The threaded tier is the block tier's internal fallback, reachable
+		// only through Options.Exec: the name does not parse, and TierAuto
+		// under it selects the default block tier.
+		if _, ok := ParseExecTier("threaded"); ok {
+			t.Fatal(`ParseExecTier("threaded") must not parse`)
+		}
 		t.Setenv(execTierEnv, "threaded")
 		cache := NewCodeCache()
-		m := mk(&Options{TRNG: rng.SeededTRNG(1), CodeCache: cache})
-		if m.ccode == nil {
-			t.Fatal("SMOKESTACK_EXEC=threaded must compile")
-		}
-		if _, misses := cache.BlockStats(); misses != 0 {
-			t.Fatal("SMOKESTACK_EXEC=threaded must not build blocks")
+		mk(&Options{TRNG: rng.SeededTRNG(1), CodeCache: cache})
+		if _, misses := cache.BlockStats(); misses != 1 {
+			t.Fatal("SMOKESTACK_EXEC=threaded must fall through to the block tier")
 		}
 	})
 	t.Run("env-selects-switch", func(t *testing.T) {

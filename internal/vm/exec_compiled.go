@@ -32,6 +32,12 @@
 // core with an event code; the driver handles it with full state in hand
 // and re-enters.
 //
+// Profiling adds no work to this loop. A Machine with a Profile attached
+// runs a stream variant with a zero-step, zero-cost cCount at each
+// basic-block leader (countFunc in compile.go); the driver settles a block
+// the run leaves early (profLeave), and the flush expands block counts into
+// op rows (profile.go). Dormant streams contain no cCount.
+//
 // Step-limit semantics inside a fused group replicate the switch
 // interpreter exactly: the budget is re-checked before every constituent,
 // so a limit that lands mid-group stops after the same instruction, with
@@ -54,6 +60,9 @@ type coreEvent int32
 
 const (
 	evLimit    coreEvent = iota // step budget exhausted (before code[pc] ran)
+	evLimit1                    // step budget exhausted after 1 constituent of code[pc]
+	evLimit2                    // ... after 2 constituents
+	evLimit3                    // ... after 3 constituents
 	evRet                       // cRet at pc; result is regs[code[pc].a]
 	evRetVoid                   // cRetVoid at pc
 	evCall                      // cCall at pc; driver performs the sub-call
@@ -73,7 +82,7 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 	// Block tier: blocks holds the mined superinstruction descriptors and
 	// entry points at the function's first dispatch (a cBlock when the
 	// entry run is hot). Threaded streams have nil blocks and entry 0, and
-	// the cores never touch either.
+	// the core never touches either.
 	blocks := cf.blocks
 	costMul := 1.0
 	if m.jitter != nil {
@@ -88,13 +97,12 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 	// two views the driver rotates hot→hot2 on each slow-path re-aim, so
 	// steady alternation settles in-core after two events.
 	hot, hot2 := stk, stk
-	// pn is the per-cop dispatch-count slab for the counting core twin:
-	// nil when no profile is attached, and the dormant runCore (which
-	// never sees pn at all) runs instead — see runCoreProf. The core
-	// records raw counts only; the driver folds them with this
-	// invocation's cost multiplier at call boundaries (flushPending), so
-	// nested invocations with different jitter factors never mix.
-	pn := m.profPN
+	// bbn is the per-basic-block count slab that a profiled stream's count
+	// cinstrs increment (see countFunc); dormant streams contain no count
+	// cinstrs, so the core never touches it. prof gates the driver's
+	// settling of a block the run leaves early (profLeave).
+	bbn := m.profBB
+	prof := m.prof != nil
 	cycles := 0.0
 	steps, limit := m.steps, m.stepLimit
 	// next is the supervised chunk boundary (see exec): equal to limit with
@@ -110,17 +118,19 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 	pc := int(cf.entry)
 	for {
 		var ev coreEvent
-		if pn == nil {
-			pc, cycles, steps, ev = runCore(code, blocks, regs, base, offsets, stk, hot, hot2, pc, cycles, steps, next, limit)
-		} else {
-			pc, cycles, steps, ev = runCoreProf(code, blocks, regs, base, offsets, stk, hot, hot2, pc, cycles, steps, next, limit, pn)
-		}
+		pc, cycles, steps, ev = runCore(code, blocks, bbn, regs, base, offsets, stk, hot, hot2, pc, cycles, steps, next, limit)
 		c := &code[pc]
 		switch ev {
-		case evLimit:
+		case evLimit, evLimit1, evLimit2, evLimit3:
+			// evLimitK always has steps == limit: K constituents of the
+			// fused group at pc ran and were charged.
 			if steps >= limit {
 				m.steps = steps
 				m.stats.Cycles += cycles * costMul
+				if prof {
+					k := int(ev - evLimit)
+					m.profLeave(cf, pc, k, k, costMul)
+				}
 				return 0, &StepLimit{Limit: limit}
 			}
 			// Supervised chunk boundary: poll the watchdog, then resume at
@@ -128,6 +138,9 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 			if m.interrupted.Load() {
 				m.steps = steps
 				m.stats.Cycles += cycles * costMul
+				if prof {
+					m.profLeave(cf, pc, 0, 0, costMul)
+				}
 				return 0, &Canceled{}
 			}
 			next = supNext(steps, limit)
@@ -147,12 +160,6 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 			}
 			// Flush this frame's cycles and step count before descending so
 			// recursive accounting stays ordered (same flush point as exec).
-			// Pending dispatch counts flush too: the callee runs with its
-			// own jitter multiplier.
-			if pn != nil {
-				pn[cCall]++
-				m.flushPending(fn)
-			}
 			m.stats.Cycles += cycles * costMul
 			cycles = 0
 			m.steps = steps
@@ -160,6 +167,11 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 			steps = m.steps
 			if err != nil {
 				m.steps = steps
+				if prof {
+					// The call dispatch counts as run (its step was consumed,
+					// as in exec); the rest of this block did not run.
+					m.profLeave(cf, pc, 1, 1, costMul)
+				}
 				return 0, err
 			}
 			if c.dst != int32(ir.NoReg) {
@@ -173,16 +185,13 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 			for i, r := range list {
 				args[i] = regs[r]
 			}
-			// Count the dispatch BEFORE the host call (mirrors evCall): a
-			// faulting host function unwinds without reaching this case's
-			// tail, and its step was already consumed by the core.
-			if pn != nil {
-				pn[cCallHost]++
-			}
 			m.steps = steps
 			v, err := m.hostCall(fn, int(c.pc), int(c.sym), args)
 			if err != nil {
 				m.stats.Cycles += cycles * costMul
+				if prof {
+					m.profLeave(cf, pc, 1, 1, costMul)
+				}
 				return 0, err
 			}
 			if c.dst != int32(ir.NoReg) {
@@ -193,24 +202,18 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 		case evMemSlow:
 			costAdd, err := m.slowMem(fn, c, regs, base, offsets)
 			if err != nil {
-				// Count-only attribution of the faulting dispatch (bypassing
-				// the weighted flushPending path): the group's consumed
-				// constituents equal its full expansion here — the memory
-				// access is always the last constituent — so one raw count
-				// keeps op rows summing to Stats.Instructions without
-				// attributing cycles the fault never charged.
-				if pn != nil {
-					m.profCN[c.op]++
+				// The memory access is the last constituent of every group
+				// that can raise evMemSlow: all of them consumed a step, all
+				// but the faulting access were charged.
+				if prof {
+					n := len(copConstituents[c.op])
+					m.profLeave(cf, pc, n, n-1, costMul)
 				}
 				m.steps = steps
 				m.stats.Cycles += cycles * costMul
 				return 0, err
 			}
-			// The memory access is the LAST constituent of every group that
-			// can raise evMemSlow, so a successful slow path completes the
-			// whole dispatch: count it (the core's tail was bypassed).
-			if pn != nil {
-				pn[c.op]++
+			if prof {
 				m.profMemSlow++
 			}
 			cycles += costAdd
@@ -219,11 +222,11 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 				hot2, hot = hot, h
 			}
 		case evDivZero:
-			// Count-only attribution (see evMemSlow): the divide is the last
-			// consumed constituent of cDiv/cMod/cConstDiv/cConstMod, so the
-			// group's expansion matches its consumed steps exactly.
-			if pn != nil {
-				m.profCN[c.op]++
+			// The divide is the last constituent of cDiv/cMod/cConstDiv/
+			// cConstMod: settled like a memory fault above.
+			if prof {
+				n := len(copConstituents[c.op])
+				m.profLeave(cf, pc, n, n-1, costMul)
 			}
 			m.steps = steps
 			m.stats.Cycles += cycles * costMul
@@ -235,6 +238,9 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 		default: // evBad
 			m.steps = steps
 			m.stats.Cycles += cycles * costMul
+			if prof {
+				m.profLeave(cf, pc, 0, 0, costMul)
+			}
 			if c.op == cBad {
 				return 0, fmt.Errorf("vm: unknown opcode %v in %s at pc=%d", ir.Op(c.sym), fn.Name, c.pc)
 			}
@@ -381,9 +387,14 @@ func (m *Machine) slowMem(fn *ir.Function, c *cinstr, regs []int64, base uint64,
 // next is the driver's supervised chunk boundary (next <= limit; equal when
 // no watchdog is armed), checked only here at the loop head where no
 // partial group effects exist. The mid-group re-checks below compare the
-// real limit, so an evLimit with steps < limit can only come from the loop
-// head and is always safe to resume.
-func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offsets []int64, stk, hot, hot2 *mem.Segment, pc int, cycles float64, steps, next, limit uint64) (int, float64, uint64, coreEvent) {
+// real limit and report how many constituents ran (evLimit1..3), so an
+// evLimit with steps < limit can only come from the loop head and is
+// always safe to resume.
+//
+// bbn is the basic-block count slab of a profiled stream: its cCount
+// cinstrs are the only profiling work in the loop, and dormant streams
+// contain none, so the dormant loop never reads bbn.
+func runCore(code []cinstr, blocks []blockDesc, bbn []uint64, regs []int64, base uint64, offsets []int64, stk, hot, hot2 *mem.Segment, pc int, cycles float64, steps, next, limit uint64) (int, float64, uint64, coreEvent) {
 	for {
 		if steps >= next {
 			return pc, cycles, steps, evLimit
@@ -577,7 +588,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = v
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if v != 0 {
@@ -592,7 +603,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = v
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if v != 0 {
@@ -607,7 +618,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = v
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if v != 0 {
@@ -622,7 +633,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = v
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if v != 0 {
@@ -637,7 +648,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = v
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if v != 0 {
@@ -652,7 +663,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = v
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if v != 0 {
@@ -667,7 +678,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] + regs[c.b]
@@ -678,7 +689,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] - regs[c.b]
@@ -689,7 +700,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] * regs[c.b]
@@ -700,7 +711,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if regs[c.b] == 0 {
@@ -714,7 +725,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if regs[c.b] == 0 {
@@ -728,7 +739,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] & regs[c.b]
@@ -739,7 +750,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] | regs[c.b]
@@ -750,7 +761,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] ^ regs[c.b]
@@ -761,7 +772,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] << (uint64(regs[c.b]) & 63)
@@ -772,7 +783,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] >> (uint64(regs[c.b]) & 63)
@@ -784,14 +795,14 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			v := b2i(regs[c.a] == regs[c.b])
 			regs[c.dst2] = v
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			if v != 0 {
@@ -805,14 +816,14 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			v := b2i(regs[c.a] != regs[c.b])
 			regs[c.dst2] = v
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			if v != 0 {
@@ -826,14 +837,14 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			v := b2i(regs[c.a] < regs[c.b])
 			regs[c.dst2] = v
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			if v != 0 {
@@ -847,14 +858,14 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			v := b2i(regs[c.a] <= regs[c.b])
 			regs[c.dst2] = v
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			if v != 0 {
@@ -868,14 +879,14 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			v := b2i(regs[c.a] > regs[c.b])
 			regs[c.dst2] = v
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			if v != 0 {
@@ -889,14 +900,14 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			v := b2i(regs[c.a] >= regs[c.b])
 			regs[c.dst2] = v
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			if v != 0 {
@@ -915,7 +926,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			sd, sb, se := stk.View()
@@ -932,7 +943,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			sd, sb, se := stk.View()
@@ -949,7 +960,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			sd, sb, se := stk.View()
@@ -966,7 +977,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			sd, sb, se := stk.View()
@@ -983,7 +994,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			sd, sb, se := stk.View()
@@ -1001,7 +1012,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
@@ -1017,7 +1028,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
@@ -1033,7 +1044,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(addr)
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
@@ -1052,7 +1063,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1075,7 +1086,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1098,7 +1109,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1121,7 +1132,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1144,7 +1155,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1168,7 +1179,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1190,7 +1201,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1212,7 +1223,7 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := uint64(sum)
@@ -1234,14 +1245,14 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = int64(base + uint64(offsets[c.sym]))
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			addr := base + uint64(offsets[c.t0])
 			regs[c.a] = int64(addr)
 			cycles += c.cost // second AddrLocal, same table entry
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			sd, sb, se := stk.View()
@@ -1258,20 +1269,20 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] * regs[c.b]
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			sum := regs[c.t0] + regs[c.dst2]
 			regs[c.t1] = sum
 			cycles += c.cost // the Add shares the const's ALU cost (compile-time guarded)
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit3
 			}
 			steps++
 			addr := uint64(sum)
@@ -1293,20 +1304,20 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			regs[c.dst] = c.imm
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit1
 			}
 			steps++
 			regs[c.dst2] = regs[c.a] * regs[c.b]
 			cycles += c.cost2
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit2
 			}
 			steps++
 			sum := regs[c.t0] + regs[c.dst2]
 			regs[c.t1] = sum
 			cycles += c.cost
 			if steps >= limit {
-				return pc, cycles, steps, evLimit
+				return pc, cycles, steps, evLimit3
 			}
 			steps++
 			addr := uint64(sum)
@@ -1967,1656 +1978,19 @@ func runCore(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offse
 			pc = npc
 			continue
 
-		default: // cBad and anything unrecognized
-			return pc, cycles, steps, evBad
-		}
-		cycles += c.cost
-		pc++
-	}
-}
-
-// runCoreProf is runCore with per-cop dispatch counting: each completed
-// dispatch (all constituents of a fused group ran) increments pn[c.op]
-// with a plain array add — no calls, so the core stays registerized. A
-// dispatch that exits early (event, fault, mid-group limit) is NOT
-// counted; the driver supplies the correction where the dispatch still
-// completes off-core (evMemSlow, evCall, evCallHost).
-//
-// It exists as a twin so the dormant core carries no trace of profiling
-// (not even a never-taken branch or the extra live slice): threading pn
-// through runCore's register-allocated loop measurably slows dormant
-// runs. The two bodies must stay in step; TestProfileReconciliation and
-// the tier-differential suite pin them to identical semantics
-// (bit-equal results, Stats, and faults, profiled vs dormant).
-func runCoreProf(code []cinstr, blocks []blockDesc, regs []int64, base uint64, offsets []int64, stk, hot, hot2 *mem.Segment, pc int, cycles float64, steps, next, limit uint64, pn []uint64) (int, float64, uint64, coreEvent) {
-	for {
-		if steps >= next {
-			return pc, cycles, steps, evLimit
-		}
-		steps++
-		c := &code[pc]
-		switch c.op {
-		case cNop:
-		case cConst:
-			regs[c.dst] = c.imm
-		case cMov:
-			regs[c.dst] = regs[c.a]
-		case cAdd:
-			regs[c.dst] = regs[c.a] + regs[c.b]
-		case cSub:
-			regs[c.dst] = regs[c.a] - regs[c.b]
-		case cMul:
-			regs[c.dst] = regs[c.a] * regs[c.b]
-		case cDiv:
-			if regs[c.b] == 0 {
-				return pc, cycles, steps, evDivZero
-			}
-			regs[c.dst] = regs[c.a] / regs[c.b]
-		case cMod:
-			if regs[c.b] == 0 {
-				return pc, cycles, steps, evDivZero
-			}
-			regs[c.dst] = regs[c.a] % regs[c.b]
-		case cAnd:
-			regs[c.dst] = regs[c.a] & regs[c.b]
-		case cOr:
-			regs[c.dst] = regs[c.a] | regs[c.b]
-		case cXor:
-			regs[c.dst] = regs[c.a] ^ regs[c.b]
-		case cShl:
-			regs[c.dst] = regs[c.a] << (uint64(regs[c.b]) & 63)
-		case cShr:
-			regs[c.dst] = regs[c.a] >> (uint64(regs[c.b]) & 63)
-		case cNeg:
-			regs[c.dst] = -regs[c.a]
-		case cNot:
-			regs[c.dst] = ^regs[c.a]
-		case cSetZ:
-			if regs[c.a] == 0 {
-				regs[c.dst] = 1
-			} else {
-				regs[c.dst] = 0
-			}
-		case cEq:
-			regs[c.dst] = b2i(regs[c.a] == regs[c.b])
-		case cNe:
-			regs[c.dst] = b2i(regs[c.a] != regs[c.b])
-		case cLt:
-			regs[c.dst] = b2i(regs[c.a] < regs[c.b])
-		case cLe:
-			regs[c.dst] = b2i(regs[c.a] <= regs[c.b])
-		case cGt:
-			regs[c.dst] = b2i(regs[c.a] > regs[c.b])
-		case cGe:
-			regs[c.dst] = b2i(regs[c.a] >= regs[c.b])
-
-		case cLoad8:
-			addr := uint64(regs[c.a])
-			var v uint64
-			if hd, hb, he := hot.View(); has8(hb, he, addr) {
-				v = get8(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-				v = get8(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-				v = get8(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst] = int64(v)
-		case cLoad4s:
-			addr := uint64(regs[c.a])
-			var v uint32
-			if hd, hb, he := hot.View(); has4(hb, he, addr) {
-				v = get4(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-				v = get4(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-				v = get4(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst] = int64(int32(v))
-		case cLoad4u:
-			addr := uint64(regs[c.a])
-			var v uint32
-			if hd, hb, he := hot.View(); has4(hb, he, addr) {
-				v = get4(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-				v = get4(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-				v = get4(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst] = int64(v)
-		case cLoad1s:
-			addr := uint64(regs[c.a])
-			var v byte
-			if hd, hb, he := hot.View(); has1(hb, he, addr) {
-				v = get1(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-				v = get1(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-				v = get1(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst] = int64(int8(v))
-		case cLoad1u:
-			addr := uint64(regs[c.a])
-			var v byte
-			if hd, hb, he := hot.View(); has1(hb, he, addr) {
-				v = get1(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-				v = get1(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-				v = get1(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst] = int64(v)
-
-		case cStore8:
-			addr := uint64(regs[c.a])
-			if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-				put8(hd, hb, addr, uint64(regs[c.b]))
-			} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-				put8(sd, sb, addr, uint64(regs[c.b]))
-			} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-				put8(d2, b2, addr, uint64(regs[c.b]))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-		case cStore4:
-			addr := uint64(regs[c.a])
-			if hd, hb, he := hot.View(); hot.Writable && has4(hb, he, addr) {
-				put4(hd, hb, addr, uint32(regs[c.b]))
-			} else if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-				put4(sd, sb, addr, uint32(regs[c.b]))
-			} else if d2, b2, e2 := hot2.View(); hot2.Writable && has4(b2, e2, addr) {
-				put4(d2, b2, addr, uint32(regs[c.b]))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-		case cStore1:
-			addr := uint64(regs[c.a])
-			if hd, hb, he := hot.View(); hot.Writable && has1(hb, he, addr) {
-				put1(hd, hb, addr, byte(regs[c.b]))
-			} else if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-				put1(sd, sb, addr, byte(regs[c.b]))
-			} else if d2, b2, e2 := hot2.View(); hot2.Writable && has1(b2, e2, addr) {
-				put1(d2, b2, addr, byte(regs[c.b]))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-
-		case cAddrLocal:
-			regs[c.dst] = int64(base + uint64(offsets[c.sym]))
-		case cAddrConst:
-			regs[c.dst] = c.imm
-		case cJmp:
+		case cCount:
+			// Profiled streams only: count the basic block this cinstr
+			// leads, then continue at its first cop without consuming a
+			// step or a cycle.
+			bbn[c.a]++
+			steps--
 			pc = int(c.t0)
-			cycles += c.cost
-			pn[cJmp]++
-			continue
-		case cBr:
-			if regs[c.a] != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost
-			pn[cBr]++
-			continue
-		case cCall:
-			return pc, cycles, steps, evCall
-		case cCallHost:
-			return pc, cycles, steps, evCallHost
-		case cRet:
-			cycles += c.cost
-			pn[cRet]++
-			return pc, cycles, steps, evRet
-		case cRetVoid:
-			cycles += c.cost
-			pn[cRetVoid]++
-			return pc, cycles, steps, evRetVoid
-
-		case cEqBr:
-			v := b2i(regs[c.a] == regs[c.b])
-			regs[c.dst] = v
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			continue
-		case cNeBr:
-			v := b2i(regs[c.a] != regs[c.b])
-			regs[c.dst] = v
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			continue
-		case cLtBr:
-			v := b2i(regs[c.a] < regs[c.b])
-			regs[c.dst] = v
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			continue
-		case cLeBr:
-			v := b2i(regs[c.a] <= regs[c.b])
-			regs[c.dst] = v
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			continue
-		case cGtBr:
-			v := b2i(regs[c.a] > regs[c.b])
-			regs[c.dst] = v
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			continue
-		case cGeBr:
-			v := b2i(regs[c.a] >= regs[c.b])
-			regs[c.dst] = v
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			continue
-
-		case cConstAdd:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] + regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstSub:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] - regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstMul:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] * regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstDiv:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if regs[c.b] == 0 {
-				return pc, cycles, steps, evDivZero
-			}
-			regs[c.dst2] = regs[c.a] / regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstMod:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if regs[c.b] == 0 {
-				return pc, cycles, steps, evDivZero
-			}
-			regs[c.dst2] = regs[c.a] % regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstAnd:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] & regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstOr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] | regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstXor:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] ^ regs[c.b]
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstShl:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] << (uint64(regs[c.b]) & 63)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cConstShr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] >> (uint64(regs[c.b]) & 63)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-
-		case cConstEqBr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			v := b2i(regs[c.a] == regs[c.b])
-			regs[c.dst2] = v
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost3
-			pn[c.op]++
-			continue
-		case cConstNeBr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			v := b2i(regs[c.a] != regs[c.b])
-			regs[c.dst2] = v
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost3
-			pn[c.op]++
-			continue
-		case cConstLtBr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			v := b2i(regs[c.a] < regs[c.b])
-			regs[c.dst2] = v
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost3
-			pn[c.op]++
-			continue
-		case cConstLeBr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			v := b2i(regs[c.a] <= regs[c.b])
-			regs[c.dst2] = v
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost3
-			pn[c.op]++
-			continue
-		case cConstGtBr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			v := b2i(regs[c.a] > regs[c.b])
-			regs[c.dst2] = v
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost3
-			pn[c.op]++
-			continue
-		case cConstGeBr:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			v := b2i(regs[c.a] >= regs[c.b])
-			regs[c.dst2] = v
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if v != 0 {
-				pc = int(c.t0)
-			} else {
-				pc = int(c.t1)
-			}
-			cycles += c.cost3
-			pn[c.op]++
-			continue
-
-		// Fused frame-offset loads/stores: the address is base+offset,
-		// which is always inside the stack segment, so the stack view is
-		// the effectively-always path.
-		case cAddrLoad8:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sd, sb, se := stk.View()
-			if !has8(sb, se, addr) {
-				return pc, cycles, steps, evMemSlow
-			}
-			v := get8(sd, sb, addr)
-			regs[c.dst2] = int64(v)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddrLoad4s:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sd, sb, se := stk.View()
-			if !has4(sb, se, addr) {
-				return pc, cycles, steps, evMemSlow
-			}
-			v := get4(sd, sb, addr)
-			regs[c.dst2] = int64(int32(v))
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddrLoad4u:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sd, sb, se := stk.View()
-			if !has4(sb, se, addr) {
-				return pc, cycles, steps, evMemSlow
-			}
-			v := get4(sd, sb, addr)
-			regs[c.dst2] = int64(v)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddrLoad1s:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sd, sb, se := stk.View()
-			if !has1(sb, se, addr) {
-				return pc, cycles, steps, evMemSlow
-			}
-			v := get1(sd, sb, addr)
-			regs[c.dst2] = int64(int8(v))
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddrLoad1u:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sd, sb, se := stk.View()
-			if !has1(sb, se, addr) {
-				return pc, cycles, steps, evMemSlow
-			}
-			v := get1(sd, sb, addr)
-			regs[c.dst2] = int64(v)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-
-		case cAddrStore8:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-				put8(sd, sb, addr, uint64(regs[c.b]))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddrStore4:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-				put4(sd, sb, addr, uint32(regs[c.b]))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddrStore1:
-			addr := base + uint64(offsets[c.sym])
-			regs[c.dst] = int64(addr)
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-				put1(sd, sb, addr, byte(regs[c.b]))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-
-		// Fused computed-address (array element) loads/stores: the add's
-		// sum is the effective address, through the hot then stack views.
-		case cAddLoad8:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			var v uint64
-			if hd, hb, he := hot.View(); has8(hb, he, addr) {
-				v = get8(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-				v = get8(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-				v = get8(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst2] = int64(v)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddLoad4s:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			var v uint32
-			if hd, hb, he := hot.View(); has4(hb, he, addr) {
-				v = get4(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-				v = get4(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-				v = get4(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst2] = int64(int32(v))
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddLoad4u:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			var v uint32
-			if hd, hb, he := hot.View(); has4(hb, he, addr) {
-				v = get4(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-				v = get4(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-				v = get4(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst2] = int64(v)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddLoad1s:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			var v byte
-			if hd, hb, he := hot.View(); has1(hb, he, addr) {
-				v = get1(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-				v = get1(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-				v = get1(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst2] = int64(int8(v))
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddLoad1u:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			var v byte
-			if hd, hb, he := hot.View(); has1(hb, he, addr) {
-				v = get1(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-				v = get1(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-				v = get1(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.dst2] = int64(v)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-
-		case cAddStore8:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			val := uint64(regs[c.dst2])
-			if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-				put8(hd, hb, addr, val)
-			} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-				put8(sd, sb, addr, val)
-			} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-				put8(d2, b2, addr, val)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddStore4:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			val := uint64(regs[c.dst2])
-			if hd, hb, he := hot.View(); hot.Writable && has4(hb, he, addr) {
-				put4(hd, hb, addr, uint32(val))
-			} else if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-				put4(sd, sb, addr, uint32(val))
-			} else if d2, b2, e2 := hot2.View(); hot2.Writable && has4(b2, e2, addr) {
-				put4(d2, b2, addr, uint32(val))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-		case cAddStore1:
-			sum := regs[c.a] + regs[c.b]
-			regs[c.dst] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			val := uint64(regs[c.dst2])
-			if hd, hb, he := hot.View(); hot.Writable && has1(hb, he, addr) {
-				put1(hd, hb, addr, byte(val))
-			} else if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-				put1(sd, sb, addr, byte(val))
-			} else if d2, b2, e2 := hot2.View(); hot2.Writable && has1(b2, e2, addr) {
-				put1(d2, b2, addr, byte(val))
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-
-		case cAddrAddrLoad8:
-			regs[c.dst] = int64(base + uint64(offsets[c.sym]))
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := base + uint64(offsets[c.t0])
-			regs[c.a] = int64(addr)
-			cycles += c.cost // second AddrLocal, same table entry
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sd, sb, se := stk.View()
-			if !has8(sb, se, addr) {
-				return pc, cycles, steps, evMemSlow
-			}
-			v := get8(sd, sb, addr)
-			regs[c.dst2] = int64(v)
-			cycles += c.cost2
-			pn[c.op]++
-			pc++
-			continue
-
-		case cMulLoad8:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] * regs[c.b]
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sum := regs[c.t0] + regs[c.dst2]
-			regs[c.t1] = sum
-			cycles += c.cost // the Add shares the const's ALU cost (compile-time guarded)
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			var v uint64
-			if hd, hb, he := hot.View(); has8(hb, he, addr) {
-				v = get8(hd, hb, addr)
-			} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-				v = get8(sd, sb, addr)
-			} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-				v = get8(d2, b2, addr)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			regs[c.sym] = int64(v)
-			cycles += c.cost3
-			pn[c.op]++
-			pc++
-			continue
-		case cMulStore8:
-			regs[c.dst] = c.imm
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			regs[c.dst2] = regs[c.a] * regs[c.b]
-			cycles += c.cost2
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			sum := regs[c.t0] + regs[c.dst2]
-			regs[c.t1] = sum
-			cycles += c.cost
-			if steps >= limit {
-				return pc, cycles, steps, evLimit
-			}
-			steps++
-			addr := uint64(sum)
-			val := uint64(regs[c.sym])
-			if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-				put8(hd, hb, addr, val)
-			} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-				put8(sd, sb, addr, val)
-			} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-				put8(d2, b2, addr, val)
-			} else {
-				return pc, cycles, steps, evMemSlow
-			}
-			cycles += c.cost3
-			pn[c.op]++
-			pc++
-			continue
-
-		case cBlock:
-			// Twin of runCore's cBlock case. Each completed uop counts
-			// under its OWN cop (copConstituents[cBlock] is empty, so the
-			// flush never expands cBlock itself): pn[u.op]++ at the bottom
-			// of the inner body mirrors the per-dispatch counting the uop
-			// would get in the plain stream. Early exits return before the
-			// count, matching the plain cores' not-counted-on-exit rule;
-			// the driver's evMemSlow correction then lands on the plain
-			// cinstr at the returned index.
-			d := &blocks[c.a]
-			if d.steps > limit-steps+1 {
-				steps--
-				pc = int(d.start)
-				continue
-			}
-			uops := d.uops
-			npc := int(c.t0)
-			for j := 0; j < len(uops); j++ {
-				u := &uops[j]
-				switch u.op {
-				case cNop:
-				case cConst:
-					regs[u.dst] = u.imm
-				case cMov:
-					regs[u.dst] = regs[u.a]
-				case cAdd:
-					regs[u.dst] = regs[u.a] + regs[u.b]
-				case cSub:
-					regs[u.dst] = regs[u.a] - regs[u.b]
-				case cMul:
-					regs[u.dst] = regs[u.a] * regs[u.b]
-				case cDiv:
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst] = regs[u.a] / regs[u.b]
-				case cMod:
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst] = regs[u.a] % regs[u.b]
-				case cAnd:
-					regs[u.dst] = regs[u.a] & regs[u.b]
-				case cOr:
-					regs[u.dst] = regs[u.a] | regs[u.b]
-				case cXor:
-					regs[u.dst] = regs[u.a] ^ regs[u.b]
-				case cShl:
-					regs[u.dst] = regs[u.a] << (uint64(regs[u.b]) & 63)
-				case cShr:
-					regs[u.dst] = regs[u.a] >> (uint64(regs[u.b]) & 63)
-				case cNeg:
-					regs[u.dst] = -regs[u.a]
-				case cNot:
-					regs[u.dst] = ^regs[u.a]
-				case cSetZ:
-					if regs[u.a] == 0 {
-						regs[u.dst] = 1
-					} else {
-						regs[u.dst] = 0
-					}
-				case cEq:
-					regs[u.dst] = b2i(regs[u.a] == regs[u.b])
-				case cNe:
-					regs[u.dst] = b2i(regs[u.a] != regs[u.b])
-				case cLt:
-					regs[u.dst] = b2i(regs[u.a] < regs[u.b])
-				case cLe:
-					regs[u.dst] = b2i(regs[u.a] <= regs[u.b])
-				case cGt:
-					regs[u.dst] = b2i(regs[u.a] > regs[u.b])
-				case cGe:
-					regs[u.dst] = b2i(regs[u.a] >= regs[u.b])
-
-				case cLoad8:
-					addr := uint64(regs[u.a])
-					var v uint64
-					if hd, hb, he := hot.View(); has8(hb, he, addr) {
-						v = get8(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-						v = get8(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-						v = get8(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(v)
-				case cLoad4s:
-					addr := uint64(regs[u.a])
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(int32(v))
-				case cLoad4u:
-					addr := uint64(regs[u.a])
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(v)
-				case cLoad1s:
-					addr := uint64(regs[u.a])
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(int8(v))
-				case cLoad1u:
-					addr := uint64(regs[u.a])
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(v)
-
-				case cStore8:
-					addr := uint64(regs[u.a])
-					if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-						put8(hd, hb, addr, uint64(regs[u.b]))
-					} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, uint64(regs[u.b]))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-						put8(d2, b2, addr, uint64(regs[u.b]))
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cStore4:
-					addr := uint64(regs[u.a])
-					if hd, hb, he := hot.View(); hot.Writable && has4(hb, he, addr) {
-						put4(hd, hb, addr, uint32(regs[u.b]))
-					} else if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-						put4(sd, sb, addr, uint32(regs[u.b]))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has4(b2, e2, addr) {
-						put4(d2, b2, addr, uint32(regs[u.b]))
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cStore1:
-					addr := uint64(regs[u.a])
-					if hd, hb, he := hot.View(); hot.Writable && has1(hb, he, addr) {
-						put1(hd, hb, addr, byte(regs[u.b]))
-					} else if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-						put1(sd, sb, addr, byte(regs[u.b]))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has1(b2, e2, addr) {
-						put1(d2, b2, addr, byte(regs[u.b]))
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cAddrLocal:
-					regs[u.dst] = int64(base + uint64(offsets[u.sym]))
-				case cAddrConst:
-					regs[u.dst] = u.imm
-
-				case cConstAdd:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] + regs[u.b]
-				case cConstSub:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] - regs[u.b]
-				case cConstMul:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] * regs[u.b]
-				case cConstDiv:
-					regs[u.dst] = u.imm
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst2] = regs[u.a] / regs[u.b]
-				case cConstMod:
-					regs[u.dst] = u.imm
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst2] = regs[u.a] % regs[u.b]
-				case cConstAnd:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] & regs[u.b]
-				case cConstOr:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] | regs[u.b]
-				case cConstXor:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] ^ regs[u.b]
-				case cConstShl:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] << (uint64(regs[u.b]) & 63)
-				case cConstShr:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] >> (uint64(regs[u.b]) & 63)
-
-				case cAddrLoad8:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has8(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get8(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-				case cAddrLoad4s:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has4(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get4(sd, sb, addr)
-					regs[u.dst2] = int64(int32(v))
-				case cAddrLoad4u:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has4(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get4(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-				case cAddrLoad1s:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has1(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get1(sd, sb, addr)
-					regs[u.dst2] = int64(int8(v))
-				case cAddrLoad1u:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has1(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get1(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-
-				case cAddrStore8:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, uint64(regs[u.b]))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddrStore4:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-						put4(sd, sb, addr, uint32(regs[u.b]))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddrStore1:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-						put1(sd, sb, addr, byte(regs[u.b]))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cAddLoad8:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v uint64
-					if hd, hb, he := hot.View(); has8(hb, he, addr) {
-						v = get8(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-						v = get8(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-						v = get8(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(v)
-				case cAddLoad4s:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(int32(v))
-				case cAddLoad4u:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(v)
-				case cAddLoad1s:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(int8(v))
-				case cAddLoad1u:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(v)
-
-				case cAddStore8:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.dst2])
-					if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-						put8(hd, hb, addr, val)
-					} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, val)
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-						put8(d2, b2, addr, val)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddStore4:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.dst2])
-					if hd, hb, he := hot.View(); hot.Writable && has4(hb, he, addr) {
-						put4(hd, hb, addr, uint32(val))
-					} else if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-						put4(sd, sb, addr, uint32(val))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has4(b2, e2, addr) {
-						put4(d2, b2, addr, uint32(val))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddStore1:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.dst2])
-					if hd, hb, he := hot.View(); hot.Writable && has1(hb, he, addr) {
-						put1(hd, hb, addr, byte(val))
-					} else if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-						put1(sd, sb, addr, byte(val))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has1(b2, e2, addr) {
-						put1(d2, b2, addr, byte(val))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cAddrAddrLoad8:
-					regs[u.dst] = int64(base + uint64(offsets[u.sym]))
-					addr := base + uint64(offsets[u.t0])
-					regs[u.a] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has8(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost + u.cost
-						steps += uint64(d.psteps[j]) + 2
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get8(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-
-				case cMulLoad8:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] * regs[u.b]
-					sum := regs[u.t0] + regs[u.dst2]
-					regs[u.t1] = sum
-					addr := uint64(sum)
-					var v uint64
-					if hd, hb, he := hot.View(); has8(hb, he, addr) {
-						v = get8(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-						v = get8(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-						v = get8(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost + u.cost2 + u.cost
-						steps += uint64(d.psteps[j]) + 3
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.sym] = int64(v)
-				case cMulStore8:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] * regs[u.b]
-					sum := regs[u.t0] + regs[u.dst2]
-					regs[u.t1] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.sym])
-					if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-						put8(hd, hb, addr, val)
-					} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, val)
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-						put8(d2, b2, addr, val)
-					} else {
-						cycles += d.prefix[j] + u.cost + u.cost2 + u.cost
-						steps += uint64(d.psteps[j]) + 3
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cJmp:
-					npc = int(u.t0)
-				case cBr:
-					if regs[u.a] != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cEqBr:
-					v := b2i(regs[u.a] == regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cNeBr:
-					v := b2i(regs[u.a] != regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cLtBr:
-					v := b2i(regs[u.a] < regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cLeBr:
-					v := b2i(regs[u.a] <= regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cGtBr:
-					v := b2i(regs[u.a] > regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cGeBr:
-					v := b2i(regs[u.a] >= regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstEqBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] == regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstNeBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] != regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstLtBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] < regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstLeBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] <= regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstGtBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] > regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstGeBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] >= regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-
-				default:
-					// Unreachable: the miner only admits uops with a case
-					// above. Surface as evBad at the plain index.
-					cycles += d.prefix[j]
-					steps += uint64(d.psteps[j])
-					return int(d.start) + j, cycles, steps, evBad
-				}
-				pn[u.op]++
-			}
-			cycles += d.cost
-			steps += d.steps - 1
-			pc = npc
 			continue
 
 		default: // cBad and anything unrecognized
 			return pc, cycles, steps, evBad
 		}
 		cycles += c.cost
-		pn[c.op]++
 		pc++
 	}
 }

@@ -72,10 +72,12 @@ func sameRun(t *testing.T, label string, a, b runState) {
 // and a randomizing engine, with jitter enabled.
 func TestResetMatchesNew(t *testing.T) {
 	prog := compile.MustCompile("pool.c", poolProgSrc)
-	for _, tier := range []string{"switch", "threaded", "block"} {
+	for _, tier := range []struct {
+		name string
+		exec vm.ExecTier
+	}{{"switch", vm.TierSwitch}, {"threaded", vm.TierCompiled}, {"block", vm.TierBlock}} {
 		for _, scheme := range []string{"fixed", "smokestack"} {
-			t.Run(tier+"/"+scheme, func(t *testing.T) {
-				t.Setenv("SMOKESTACK_EXEC", tier)
+			t.Run(tier.name+"/"+scheme, func(t *testing.T) {
 				mkEngine := func() layout.Engine {
 					if scheme == "fixed" {
 						return layout.NewFixed()
@@ -83,7 +85,7 @@ func TestResetMatchesNew(t *testing.T) {
 					return layout.NewSmokestack(prog, rng.NewAESCtr(10, rng.SeededTRNG(33)), nil)
 				}
 				opts := func(seed uint64) *vm.Options {
-					return &vm.Options{TRNG: rng.SeededTRNG(seed), JitterAmp: 0.05, JitterSeed: seed ^ 0xabc}
+					return &vm.Options{TRNG: rng.SeededTRNG(seed), Exec: tier.exec, JitterAmp: 0.05, JitterSeed: seed ^ 0xabc}
 				}
 
 				// Fresh reference run with seed 2.

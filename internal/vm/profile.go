@@ -7,14 +7,18 @@
 // the paper's Table I prices analytically; here it is measured from the
 // running VM.
 //
-// Hot-path discipline (mirrors PR 2/3): the Machine accumulates into
-// plain per-Machine fields — a weighted per-op array in the switch tier,
-// a counts-only per-cop array inside the compiled tier's call-free
-// runCore — and expands/flushes them into the shared mutex-protected
-// Profile only at Run/CallByName exit. With no Profile attached every
-// site is a nil check on a never-taken branch, and the cycle accumulator
-// itself is never touched, so dormant AND profiled runs alike stay
-// bit-identical to the goldens.
+// Hot-path discipline: the Machine accumulates into plain per-Machine
+// fields and expands/flushes them into the shared mutex-protected Profile
+// only at Run/CallByName exit. The switch tier adds a weighted per-op
+// count per step behind a never-taken nil check. The compiled tiers run
+// one dispatch loop for dormant and profiled Machines alike: a profiled
+// Machine runs its own stream variant with a zero-step, zero-cost cCount
+// at every basic-block leader (countFunc), so the loop's only profiling
+// work is one increment per basic block entered, and a dormant stream
+// contains none. The flush charges each block's count to the block's
+// static cops at cost-table prices and the function's jitter factor. The
+// cycle accumulator itself is never touched, so dormant AND profiled runs
+// alike stay bit-identical to the goldens.
 //
 // Attribution exactness: rows are grid-rounded (telemetry.GridRound) so
 // the snapshot's per-cell TotalCycles is by construction the exact sum
@@ -23,17 +27,16 @@
 // decomposition can reproduce bit-for-bit — the row sum agrees to ~1e-9
 // relative error (TestProfileReconciliation pins the bound).
 //
-// Early-exit runs reconcile too. In-flight calls are attributed before
-// descending, and a typed fault (divide-by-zero, memory fault) counts
-// its faulting dispatch at zero cycles — the fault sits on the group's
-// last constituent, so the expansion matches the consumed steps exactly
-// and op counts keep summing to Stats.Instructions on every tier
-// (TestCancelledRunProfileFlush, TestFaultedRunProfileFlush). Two small
-// leaks remain by design: a step limit landing inside a fused group
-// (partial constituents counted in Stats but no dispatch to expand),
-// and the already-charged leading constituents' cycles of a faulted
-// fused group (attributed at zero). Clean and cancelled runs have no
-// gap at all.
+// Early-exit runs reconcile too, on every tier: op counts sum to
+// Stats.Instructions and row cycles match Stats.Cycles. A constituent
+// that consumed its step counts; one that faulted (divide-by-zero,
+// memory fault) counts at zero cycles, as Stats charged it. The switch
+// tier attributes in-flight calls before descending. The compiled tiers
+// settle a basic block the run leaves early — step limit (mid-group
+// included), cancellation, fault, or a callee error unwinding past a
+// call — by taking back the block's count and charging only what ran
+// (profLeave). TestCancelledRunProfileFlush, TestFaultedRunProfileFlush
+// and TestProfileStepLimitSweep pin this.
 package vm
 
 import (
@@ -104,7 +107,7 @@ var catNames = [numProfCats]string{
 }
 
 // numCops sizes per-cop tables (compiled-tier dispatch counts).
-const numCops = int(cBlock) + 1
+const numCops = int(cCount) + 1
 
 // copNames names every compiled opcode for the fused-dispatch counters.
 var copNames = [numCops]string{
@@ -141,6 +144,7 @@ var copNames = [numCops]string{
 	cMulLoad8:  "mul.load8", cMulStore8: "mul.store8",
 	cAddrAddrLoad8: "addr.addr.load8",
 	cBlock:         "block",
+	cCount:         "count",
 }
 
 // copConstituents maps each compiled opcode to the ir.Ops it completed,
@@ -203,12 +207,12 @@ var copConstituents = [numCops][]ir.Op{
 	cMulLoad8:      {ir.OpConst, ir.OpMul, ir.OpAdd, ir.OpLoad},
 	cMulStore8:     {ir.OpConst, ir.OpMul, ir.OpAdd, ir.OpStore},
 	cAddrAddrLoad8: {ir.OpAddrLocal, ir.OpAddrLocal, ir.OpLoad},
-	// cBlock expands to nothing: the block tier's profiled core counts
-	// each executed uop under the uop's own cop (a block dispatch is N
-	// per-cop increments, not one cBlock increment), so attribution and
-	// reconciliation go through the constituent cops exactly as in the
-	// threaded tier. The cBlock counter itself stays zero.
+	// cBlock and cCount expand to nothing and are never counted: profiles
+	// charge basic-block counts to the plain cops a block covers, which
+	// is the same attribution whether the block tier ran them as a cBlock
+	// or one by one.
 	cBlock: {},
+	cCount: {},
 }
 
 // copIsFused reports whether a cop is a fused superinstruction (counted
@@ -325,12 +329,13 @@ func (m *Machine) flushProfile() {
 	if p == nil {
 		return
 	}
+	m.expandBlocks()
 	ct := &m.costTable
 	sur := m.addrExtra
 	p.mu.Lock()
-	// Switch-tier per-op weighted counts: cycles = weight * table price,
-	// with the engine surcharge share of addr.local split out into its
-	// own category so the opcode row prices the plain GEP.
+	// Per-op weighted counts: cycles = weight * table price, with the
+	// engine surcharge share of addr.local split out into its own category
+	// so the opcode row prices the plain GEP.
 	for op := range m.profN {
 		n := m.profN[op]
 		if n == 0 {
@@ -347,26 +352,11 @@ func (m *Machine) flushProfile() {
 		p.ops[op].Cycles += w * price
 		m.profN[op], m.profW[op] = 0, 0
 	}
-	// Compiled-tier per-cop weighted dispatch counts, expanded through
-	// the static constituent table.
-	for c := range m.profCN {
-		n := m.profCN[c]
-		if n == 0 {
-			continue
+	for c, n := range m.profCops {
+		if n != 0 {
+			p.fused[c] += n
+			m.profCops[c] = 0
 		}
-		w := m.profCW[c]
-		p.fused[c] += n
-		for _, op := range copConstituents[c] {
-			price := ct[op]
-			if op == ir.OpAddrLocal && sur != 0 {
-				p.cats[catAddrSurcharge].Count += n
-				p.cats[catAddrSurcharge].Cycles += w * sur
-				price -= sur
-			}
-			p.ops[op].Count += n
-			p.ops[op].Cycles += w * price
-		}
-		m.profCN[c], m.profCW[c] = 0, 0
 	}
 	// Instrumentation categories.
 	if m.profCalls != 0 {
@@ -407,23 +397,69 @@ func addCounterLocked(p *Profile, name string, n uint64) {
 	}
 }
 
-// flushPending folds the compiled tier's pending per-cop dispatch counts
-// (accumulated raw inside runCore) into the weighted per-Machine arrays,
-// applying the current invocation's cost multiplier. Called at the two
-// compiled-tier call boundaries — before descending into a sub-call and
-// after execCompiled returns — so nested invocations with different
-// jitter multipliers never mix.
-func (m *Machine) flushPending(fn *ir.Function) {
-	cm := 1.0
-	if m.jitter != nil {
-		cm = m.jitter[fn.ID]
+// expandBlocks charges the compiled tiers' basic-block counts to the
+// blocks' static cops: every constituent of every cop counts once per
+// block entry, weighted by the function's jitter factor. Zeroes profBB.
+func (m *Machine) expandBlocks() {
+	for g, n := range m.profBB {
+		if n == 0 {
+			continue
+		}
+		m.profBB[g] = 0
+		b := &m.ccode.bbs[g]
+		w := float64(n)
+		if m.jitter != nil {
+			w *= m.jitter[b.fn]
+		}
+		code := m.ccode.funcs[b.fn].code[b.start:b.end]
+		for i := range code {
+			c := code[i].op
+			m.profCops[c] += n
+			for _, op := range copConstituents[c] {
+				m.profN[op] += n
+				m.profW[op] += w
+			}
+		}
 	}
-	pn := m.profPN
-	for c, n := range pn {
-		if n != 0 {
-			m.profCN[c] += n
-			m.profCW[c] += cm * float64(n)
-			pn[c] = 0
+}
+
+// profLeave settles the basic block a profiled compiled run leaves early
+// at code[pc]. The block's cCount already counted all of it; this takes
+// that count back and charges what did run instead: every cop before pc,
+// and of code[pc] the first ran constituents (each consumed a step), of
+// which the first charged were also charged their cycles. costMul is the
+// function's jitter factor.
+func (m *Machine) profLeave(cf *compiledFunc, pc, ran, charged int, costMul float64) {
+	code := cf.code
+	switch code[pc].op {
+	case cCount:
+		return // stopped before entering the block
+	case cBlock:
+		pc = int(cf.blocks[code[pc].a].start) // stopped before the block ran
+	}
+	start := pc
+	for code[start-1].op != cCount {
+		start--
+	}
+	m.profBB[code[start-1].a]--
+	for i := start; i < pc; i++ {
+		n := len(copConstituents[code[i].op])
+		m.profRan(code[i].op, n, n, costMul)
+	}
+	m.profRan(code[pc].op, ran, charged, costMul)
+}
+
+// profRan charges the first ran constituents of one dispatch of c, the
+// first charged of them with cycles.
+func (m *Machine) profRan(c cop, ran, charged int, costMul float64) {
+	if ran == 0 {
+		return
+	}
+	m.profCops[c]++
+	for i, op := range copConstituents[c][:ran] {
+		m.profN[op]++
+		if i < charged {
+			m.profW[op] += costMul
 		}
 	}
 }

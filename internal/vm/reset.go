@@ -119,9 +119,8 @@ func (m *Machine) Reset(engine layout.Engine, env *Env, opts *Options) (restored
 func (m *Machine) resetProfileState() {
 	clear(m.profW[:])
 	clear(m.profN[:])
-	clear(m.profPN)
-	clear(m.profCW)
-	clear(m.profCN)
+	clear(m.profBB)
+	clear(m.profCops[:])
 	m.profCat = [numProfCats]profAgg{}
 	m.profCalls, m.profHostCalls, m.profHostCycles = 0, 0, 0
 	m.profMemSlow, m.profFrameReuse, m.profFrameAlloc = 0, 0, 0
@@ -167,9 +166,9 @@ func (m *Machine) VerifyPristine() error {
 			return fmt.Errorf("vm: profiler op counter %d leaked across reset", i)
 		}
 	}
-	for i, n := range m.profPN {
+	for i, n := range m.profBB {
 		if n != 0 {
-			return fmt.Errorf("vm: pending dispatch counter %d leaked across reset", i)
+			return fmt.Errorf("vm: basic-block counter %d leaked across reset", i)
 		}
 	}
 	if m.profCalls != 0 || m.profHostCalls != 0 || m.profMemSlow != 0 {

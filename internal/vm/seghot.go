@@ -2,9 +2,9 @@ package vm
 
 // Open-coded segment fast paths for the interpreter cores.
 //
-// runCore/runCoreProf are far beyond the Go inliner's big-function
-// threshold, where only callees costing <= 20 units still inline; the
-// mem.Segment accessor methods (ReadU64At ~48) therefore compiled to a
+// runCore is far beyond the Go inliner's big-function threshold, where
+// only callees costing <= 20 units still inline; the mem.Segment
+// accessor methods (ReadU64At ~48) therefore compiled to a
 // real CALL on every memory access — measurably the dominant dispatch
 // cost on load/store-heavy workloads. These helpers split the accessor
 // into a bounds probe (has*) and an unchecked access (get*/put*, in

@@ -158,17 +158,19 @@ func DefaultCosts() Costs {
 	}
 }
 
-// ExecTier selects the interpreter implementation. Both tiers execute the
+// ExecTier selects the interpreter implementation. Every tier executes the
 // same IR with bit-identical results, cycle accounting and faults (the
 // differential test and the invariance goldens enforce this); the compiled
-// tier is simply faster.
+// tiers are simply faster.
 type ExecTier int
 
 const (
 	// TierAuto consults SMOKESTACK_EXEC and defaults to the block tier.
 	TierAuto ExecTier = iota
 	// TierCompiled executes pre-decoded, fused cinstr streams (compile.go /
-	// exec_compiled.go), sharing compiled programs through a CodeCache.
+	// exec_compiled.go), sharing compiled programs through a CodeCache. It
+	// is the block tier's fallback and is selectable only through
+	// Options.Exec, not SMOKESTACK_EXEC.
 	TierCompiled
 	// TierSwitch executes raw ir.Instr through the legacy switch
 	// interpreter — the differential oracle the other tiers are checked
@@ -184,21 +186,19 @@ const (
 )
 
 // execTierEnv is the environment variable consulted by TierAuto. The
-// recognized values are "switch", "threaded" (the plain compiled tier) and
-// "block"; anything else (including unset) selects the block tier. Read
-// per Machine, not cached at init, so tests can flip it with t.Setenv.
+// recognized values are "switch" and "block"; anything else (including
+// unset) selects the block tier. Read per Machine, not cached at init, so
+// tests can flip it with t.Setenv.
 const execTierEnv = "SMOKESTACK_EXEC"
 
 // ParseExecTier maps a SMOKESTACK_EXEC-style name to its tier: "switch",
-// "threaded", "block", or "" / "auto" for TierAuto.
+// "block", or "" / "auto" for TierAuto.
 func ParseExecTier(s string) (ExecTier, bool) {
 	switch s {
 	case "", "auto":
 		return TierAuto, true
 	case "switch":
 		return TierSwitch, true
-	case "threaded":
-		return TierCompiled, true
 	case "block":
 		return TierBlock, true
 	}
@@ -245,7 +245,8 @@ type Options struct {
 	// Prof, when non-nil, attaches a cycle-attribution profile: the Machine
 	// accumulates per-opcode and per-category attribution in plain fields
 	// and flushes into Prof at Run/CallByName exit (see profile.go). nil is
-	// the dormant default and costs a never-taken branch per site; the
+	// the dormant default: the switch tier pays a never-taken branch per
+	// site, and the compiled tiers run streams without count cinstrs. The
 	// cycle accumulator itself is never touched either way, so profiled
 	// runs remain bit-identical to dormant ones.
 	Prof *Profile
@@ -331,9 +332,11 @@ type Machine struct {
 
 	// ccode is the program's compiled instruction streams (nil under the
 	// switch tier). Shared across Machines through a CodeCache — streams
-	// depend only on (program, cost model, engine AddrLocal surcharge),
-	// never on per-run state.
-	ccode *compiledProgram
+	// depend only on (program, cost model, engine AddrLocal surcharge,
+	// profiled or not), never on per-run state. counted records that ccode
+	// is the profiled variant.
+	ccode   *compiledProgram
+	counted bool
 
 	// regSlabs and argSlabs pool the per-call register file and the
 	// OpCall/OpCallHost argument scratch, indexed by call depth so nested
@@ -375,7 +378,7 @@ type Machine struct {
 	shadow []uint64
 	// effSlabs pools per-depth effective-offset scratch for multi-region
 	// frames: offsets rebased so base+offset lands in the right region,
-	// letting the call-free compiled cores run unchanged.
+	// letting the call-free compiled core run unchanged.
 	effSlabs [][]int64
 
 	jitter []float64 // per-function cost multiplier (nil when disabled)
@@ -398,23 +401,22 @@ type Machine struct {
 	interrupted atomic.Bool
 
 	// Cycle-attribution accumulators (see profile.go). All nil/zero when
-	// no Profile is attached; the hot paths only ever test prof (or the
-	// hoisted profPN slice) for nil. profW/profN hold the switch tier's
-	// weighted per-op counts; profPN holds the compiled core's raw per-cop
-	// dispatch counts for the current invocation, folded with the
-	// invocation's jitter multiplier into profCW/profCN at call
-	// boundaries. profCat buckets instrumentation cycles captured in
-	// call()/hostCall. profMemHits/profMemMisses are last-flushed
-	// baselines for the Memory segment-cache counters.
+	// no Profile is attached; the switch tier's hot path only ever tests
+	// prof for nil. profW/profN hold weighted per-op counts: the switch
+	// tier's per step, the compiled tiers' expanded at flush from profBB,
+	// the per-basic-block counts the profiled stream's count cinstrs
+	// accumulate. profCops counts cop dispatches (the fused.* counters).
+	// profCat buckets instrumentation cycles captured in call()/hostCall.
+	// profMemHits/profMemMisses are last-flushed baselines for the Memory
+	// segment-cache counters.
 	prof           *Profile
 	profProlog     PrologueProfiler
 	profDefense    DefenseProfiler
 	addrExtra      float64
 	profW          [ir.NumOps]float64
 	profN          [ir.NumOps]uint64
-	profPN         []uint64
-	profCW         []float64
-	profCN         []uint64
+	profBB         []uint64
+	profCops       [numCops]uint64
 	profCat        [numProfCats]profAgg
 	profCalls      uint64
 	profHostCalls  uint64
@@ -677,18 +679,20 @@ func (m *Machine) arm(engine layout.Engine, env *Env, o *Options) {
 	m.shadowKey = splitmix64(m.canaryKey)
 
 	// Engine-dependent pricing state. Streams and tables depend on the
-	// engine only through its AddrLocal surcharge, so a reset that swaps
-	// engines within the same surcharge (the common grid pattern:
-	// baseline, then each scheme) skips the rebuild and the cache lookup
-	// entirely.
-	if ae := engine.AddrLocalExtraCycles(); !m.armed || ae != m.addrExtra {
+	// engine only through its AddrLocal surcharge (and streams on whether a
+	// profile is attached), so a reset that swaps engines within the same
+	// surcharge (the common grid pattern: baseline, then each scheme) skips
+	// the rebuild and the cache lookup entirely.
+	counted := o.Prof != nil
+	if ae := engine.AddrLocalExtraCycles(); !m.armed || ae != m.addrExtra || counted != m.counted {
 		m.addrExtra = ae
+		m.counted = counted
 		m.buildCostTable()
 		switch m.tier {
 		case TierBlock:
-			m.ccode = m.codeCache.blockCompiled(m.Prog, m.costs, ae, m.globalAddr, m.dataAddr)
+			m.ccode = m.codeCache.blockCompiled(m.Prog, m.costs, ae, counted, m.globalAddr, m.dataAddr)
 		case TierCompiled:
-			m.ccode = m.codeCache.compiled(m.Prog, m.costs, ae, m.globalAddr, m.dataAddr)
+			m.ccode = m.codeCache.compiled(m.Prog, m.costs, ae, counted, m.globalAddr, m.dataAddr)
 		}
 	}
 	m.armed = true
@@ -702,14 +706,12 @@ func (m *Machine) arm(engine layout.Engine, env *Env, o *Options) {
 		if dp, ok := engine.(DefenseProfiler); ok {
 			m.profDefense = dp
 		}
-		// Per-cop slabs for the compiled tier's dispatch counts. Allocated
-		// once per Machine (and retained across resets), so attaching a
-		// profile adds zero per-step and zero per-call allocations
-		// (TestProfileAllocs pins this).
-		if m.profPN == nil {
-			m.profPN = make([]uint64, numCops)
-			m.profCW = make([]float64, numCops)
-			m.profCN = make([]uint64, numCops)
+		// The compiled tiers' basic-block count slab. Allocated once per
+		// Machine (and retained across resets), so attaching a profile adds
+		// zero per-step and zero per-call allocations (TestProfileAllocs
+		// pins this).
+		if m.ccode != nil && len(m.profBB) != len(m.ccode.bbs) {
+			m.profBB = make([]uint64, len(m.ccode.bbs))
 		}
 	}
 
@@ -1002,7 +1004,7 @@ func (m *Machine) call(fn *ir.Function, args []int64) (int64, error) {
 	// offsets verbatim (no copy, no extra work). Multi-region layouts get a
 	// pooled slab with unsafe-region offsets rebased so base+offset (mod
 	// 2^64) lands at ubase+offset inside the unsafe segment — the executors
-	// and their call-free compiled cores run unchanged either way.
+	// and the call-free compiled core run unchanged either way.
 	offsets := fl.Offsets
 	if fl.Regions != nil {
 		offsets = m.effSlab(len(m.frames)-1, len(fl.Offsets))
@@ -1113,12 +1115,6 @@ func (m *Machine) call(fn *ir.Function, args []int64) (int64, error) {
 	var err error
 	if m.ccode != nil {
 		ret, err = m.execCompiled(fn, &m.ccode.funcs[fn.ID], base, offsets)
-		if m.prof != nil {
-			// Fold this invocation's pending compiled-core dispatch counts
-			// with its jitter multiplier (partial counts from a faulted run
-			// included — their cycles were charged before the fault).
-			m.flushPending(fn)
-		}
 	} else {
 		ret, err = m.exec(fn, base, offsets)
 	}
