@@ -1,9 +1,9 @@
 # Build / verification entry points. `make ci` is the gate every change
-# must pass: compile, vet, the full test suite under the race detector
-# (the parallel experiment pipeline makes -race load-bearing), the
-# invariance suite re-run under the legacy switch interpreter so both
-# execution tiers stay pinned to the same goldens, and one end-to-end pass
-# over every command-line surface.
+# must pass: compile, gofmt-clean sources, vet, the full test suite under
+# the race detector (the parallel experiment pipeline makes -race
+# load-bearing), the invariance suite re-run under the legacy switch
+# interpreter so both execution tiers stay pinned to the same goldens, and
+# one end-to-end pass over every command-line surface.
 GO ?= go
 
 # The workload and harness packages run whole experiment grids; under
@@ -17,12 +17,18 @@ RACE_TIMEOUT ?= 3600s
 BENCH_PREV ?= BENCH_4.json
 BENCH_NEXT ?= BENCH_5.json
 
-.PHONY: ci build vet test race bench bench-compare smokebench invariance smoke
+.PHONY: ci build fmt vet test race bench bench-compare smokebench invariance smoke
 
-ci: build vet race invariance smoke smokebench
+ci: build fmt vet race invariance smoke smokebench
 
 build:
 	$(GO) build ./...
+
+# Fails when any tracked Go file is not gofmt-clean, naming the files.
+# Tracked files only: build outputs such as .bench_build/ stay out.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -12,10 +12,11 @@
 // pool) — the fixed workload set cannot grow them. Inline tenant programs
 // are compiled into a bounded FIFO program cache where each entry owns a
 // *private* code cache and plan cache; evicting the entry releases every
-// compiled artifact with it, so hostile tenants submitting endless unique
-// programs bound the server's memory at ProgCacheCap compiled programs
-// (plus whatever the Machine pool retains, which the server's idle janitor
-// drains).
+// compiled artifact with it and retires its code cache in the Machine
+// pool, which drops the program's pooled Machines (and any still running,
+// when they come back). Hostile tenants submitting endless unique
+// programs therefore bound the server's memory at ProgCacheCap compiled
+// programs and the pooled Machines of those programs alone.
 package harness
 
 import (
@@ -77,7 +78,7 @@ const sessionStepLimit = 2_000_000_000
 // ProgCacheCap bounds the inline-program cache: at most this many distinct
 // tenant-submitted sources stay compiled (FIFO eviction). Each entry owns
 // its private code/plan caches, so eviction releases the compiled tier
-// too.
+// and the pooled Machines too.
 const ProgCacheCap = 64
 
 // sessionProg is one resolved session program: the compiled IR plus the
@@ -145,6 +146,7 @@ func sessionProgram(spec SessionSpec) (*sessionProg, error) {
 	for len(progCache.m) >= ProgCacheCap {
 		victim := progCache.order[0]
 		progCache.order = progCache.order[1:]
+		machinePool.Retire(progCache.m[victim].code)
 		delete(progCache.m, victim)
 		progCache.evictions++
 	}

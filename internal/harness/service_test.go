@@ -178,6 +178,36 @@ func TestSessionDeadlineCanceled(t *testing.T) {
 	}
 }
 
+// TestSessionEvictionReleasesMachines runs more distinct inline programs
+// than the program cache holds, each under two engines that pool under
+// different keys, and checks that evicting a program drops its pooled
+// Machines: the pool keeps at most two Machines per cached program, not
+// two per program ever submitted.
+func TestSessionEvictionReleasesMachines(t *testing.T) {
+	DrainMachinePool()
+	defer DrainMachinePool()
+	const programs = ProgCacheCap + 40
+	for i := 0; i < programs; i++ {
+		spec := SessionSpec{
+			Source:  fmt.Sprintf("long main() { return %d; }", 1000+i),
+			Engines: []string{"fixed", "cleanstack"},
+		}
+		recs, err := RunSession(Config{}, spec)
+		if err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+		for _, r := range recs {
+			if r.Err != "" {
+				t.Fatalf("program %d: %s: %s", i, r.Cell, r.Err)
+			}
+		}
+	}
+	if got := MachinePoolStats().Retained; got > 2*ProgCacheCap {
+		t.Fatalf("pool retains %d Machines after %d programs, want at most %d (2 per cached program)",
+			got, programs, 2*ProgCacheCap)
+	}
+}
+
 // TestSessionProgCacheBounded floods the inline-program cache with unique
 // sources and checks the FIFO bound holds.
 func TestSessionProgCacheBounded(t *testing.T) {

@@ -398,5 +398,6 @@ func (c Config) registerGauges() {
 	reg.SetGauge("vm.pool.misses", func() float64 { return float64(machinePool.Stats().Misses) })
 	reg.SetGauge("vm.pool.puts", func() float64 { return float64(machinePool.Stats().Puts) })
 	reg.SetGauge("vm.pool.drops", func() float64 { return float64(machinePool.Stats().Drops) })
+	reg.SetGauge("vm.pool.retained", func() float64 { return float64(machinePool.Stats().Retained) })
 	reg.SetGauge("mem.snapshot.restored_bytes", func() float64 { return float64(machinePool.Stats().RestoredBytes) })
 }

@@ -12,6 +12,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Reg is a virtual register index within a function.
@@ -144,6 +145,9 @@ type Function struct {
 	// ID is the function's index in its Program; also used as the
 	// load-time function identifier for the XOR guard check (§III-D2).
 	ID int
+
+	// frame caches Frame's result.
+	frame atomic.Pointer[FrameFacts]
 }
 
 // TotalAllocaBytes returns the sum of alloca sizes (no padding); the real

@@ -62,15 +62,17 @@ type CleanStack struct {
 	trng rng.TRNG
 	bias uint64
 	mu   sync.Mutex
-	// cache holds the per-function split layout; the classification is
-	// compile-time, so one entry per function, like StaticRand's cache.
-	cache map[int]FrameLayout
+	// split holds the two-region layouts of the functions that have
+	// unsafe allocas, packed from their shared classification
+	// (ir.FrameFacts.Unsafe); functions without any use their
+	// declaration-order frame.
+	split map[int]FrameLayout
 }
 
 // NewCleanStack builds the engine; trng feeds the per-run unsafe-stack
 // bias.
 func NewCleanStack(trng rng.TRNG) *CleanStack {
-	c := &CleanStack{trng: trng, cache: make(map[int]FrameLayout)}
+	c := &CleanStack{trng: trng, split: make(map[int]FrameLayout)}
 	c.NewRun()
 	return c
 }
@@ -92,118 +94,44 @@ func (c *CleanStack) NewRun() {
 // UnsafeBias implements DualStacker.
 func (c *CleanStack) UnsafeBias() uint64 { return c.bias }
 
-// unsafeMask classifies fn's allocas: true marks an alloca for the unsafe
-// region. Unsafe means a non-parameter alloca that is (a) larger than a
-// scalar word — array/buffer code indexes it — or (b) whose address
-// escapes: the register holding its OpAddrLocal result is used for
-// anything beyond direct load/store addressing (pointer arithmetic, stored
-// to memory, passed to a call, returned). Returns nil when nothing is
-// unsafe.
-func unsafeMask(fn *ir.Function) []bool {
-	mask := make([]bool, len(fn.Allocas))
-	any := false
-	for i, a := range fn.Allocas {
-		if !a.IsParam && a.Size > 8 {
-			mask[i] = true
-			any = true
-		}
-	}
-	// holds maps a register to every alloca whose address it may carry
-	// (conservative across register reuse).
-	holds := make(map[ir.Reg][]int)
-	for _, in := range fn.Code {
-		if in.Op == ir.OpAddrLocal {
-			holds[in.Dst] = append(holds[in.Dst], int(in.Sym))
-		}
-	}
-	if len(holds) == 0 {
-		if !any {
-			return nil
-		}
-		return mask
-	}
-	escape := func(r ir.Reg) {
-		for _, ai := range holds[r] {
-			if !fn.Allocas[ai].IsParam && !mask[ai] {
-				mask[ai] = true
-				any = true
-			}
-		}
-	}
-	for _, in := range fn.Code {
-		switch in.Op {
-		case ir.OpNop, ir.OpConst, ir.OpJmp, ir.OpBr,
-			ir.OpAddrLocal, ir.OpAddrGlobal, ir.OpAddrData:
-			// No pointer-escaping operand uses.
-		case ir.OpLoad:
-			// in.A is the address operand: a direct dereference is safe.
-		case ir.OpStore:
-			// The address (A) is safe; the stored *value* (B) escaping to
-			// memory is not.
-			escape(in.B)
-		case ir.OpCall, ir.OpCallHost:
-			for _, r := range in.Args {
-				escape(r)
-			}
-		case ir.OpMov, ir.OpNeg, ir.OpNot, ir.OpSetZ:
-			escape(in.A)
-		case ir.OpRet:
-			if in.A != ir.NoReg {
-				escape(in.A)
-			}
-		default:
-			// Binary ALU/compare forms: pointer arithmetic on either side.
-			escape(in.A)
-			escape(in.B)
-		}
-	}
-	if !any {
-		return nil
-	}
-	return mask
-}
-
 // Layout implements Engine: declaration-order packing per region.
 func (c *CleanStack) Layout(fn *ir.Function) FrameLayout {
+	ff := fn.Frame()
+	if ff.Unsafe == nil {
+		return declOrder(ff)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fl, ok := c.cache[fn.ID]; ok {
+	if fl, ok := c.split[fn.ID]; ok {
 		return fl
 	}
-	var fl FrameLayout
-	mask := unsafeMask(fn)
-	if mask == nil {
-		off, size := fixedOffsets(fn)
-		fl = FrameLayout{Offsets: off, Size: size}
-	} else {
-		offsets := make([]int64, len(fn.Allocas))
-		regions := make([]uint8, len(fn.Allocas))
-		var mainInd, unsafeInd int64
-		for i, a := range fn.Allocas {
-			if mask[i] {
-				unsafeInd = alignUp(unsafeInd, a.Align)
-				offsets[i] = unsafeInd
-				regions[i] = RegionUnsafe
-				unsafeInd += a.Size
-			} else {
-				mainInd = alignUp(mainInd, a.Align)
-				offsets[i] = mainInd
-				mainInd += a.Size
-			}
-		}
-		fl = FrameLayout{
-			Offsets: offsets, Size: alignUp(mainInd, 16),
-			Regions: regions, UnsafeSize: alignUp(unsafeInd, 16),
+	offsets := make([]int64, len(fn.Allocas))
+	regions := make([]uint8, len(fn.Allocas))
+	var mainInd, unsafeInd int64
+	for i, a := range fn.Allocas {
+		if ff.Unsafe[i] {
+			unsafeInd = ir.AlignUp(unsafeInd, a.Align)
+			offsets[i] = unsafeInd
+			regions[i] = RegionUnsafe
+			unsafeInd += a.Size
+		} else {
+			mainInd = ir.AlignUp(mainInd, a.Align)
+			offsets[i] = mainInd
+			mainInd += a.Size
 		}
 	}
-	c.cache[fn.ID] = fl
+	fl := FrameLayout{
+		Offsets: offsets, Size: ir.AlignUp(mainInd, 16),
+		Regions: regions, UnsafeSize: ir.AlignUp(unsafeInd, 16),
+	}
+	c.split[fn.ID] = fl
 	return fl
 }
 
 // PrologueCycles implements Engine: functions with segregated allocas pay
 // one unsafe-stack-pointer rebase on entry.
 func (c *CleanStack) PrologueCycles(fn *ir.Function) float64 {
-	if c.Layout(fn).Regions != nil {
+	if fn.Frame().Unsafe != nil {
 		return unsafeRebaseCycles
 	}
 	return 0
@@ -215,10 +143,7 @@ func (*CleanStack) EpilogueCycles(*ir.Function) float64 { return 0 }
 // DefenseBreakdown decomposes the prices for the attribution profiler
 // (vm.DefenseProfiler).
 func (c *CleanStack) DefenseBreakdown(fn *ir.Function) (draw, canaryWrite, shadowPush, unsafeRebase, canaryCheck, shadowCheck float64) {
-	if c.Layout(fn).Regions != nil {
-		unsafeRebase = unsafeRebaseCycles
-	}
-	return
+	return 0, 0, 0, c.PrologueCycles(fn), 0, 0
 }
 
 // AddrLocalExtraCycles implements Engine: the region split folds into the
@@ -241,15 +166,10 @@ func (*CleanStack) RodataBytes() int64 { return 0 }
 // return token mirrored between the frame and a disjoint shadow stack the
 // attacker cannot read or reach. It randomizes nothing — the matrix's
 // pure-integrity row.
-type ShadowStack struct {
-	mu    sync.Mutex
-	cache map[int]FrameLayout
-}
+type ShadowStack struct{}
 
 // NewShadowStack builds the engine.
-func NewShadowStack() *ShadowStack {
-	return &ShadowStack{cache: make(map[int]FrameLayout)}
-}
+func NewShadowStack() *ShadowStack { return &ShadowStack{} }
 
 // Name implements Engine.
 func (*ShadowStack) Name() string { return "shadowstack" }
@@ -259,21 +179,11 @@ func (*ShadowStack) NewRun() {}
 
 // Layout implements Engine: fixed offsets plus one SlotReturn token slot
 // above the locals.
-func (s *ShadowStack) Layout(fn *ir.Function) FrameLayout {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fl, ok := s.cache[fn.ID]; ok {
-		return fl
-	}
-	off, _ := fixedOffsets(fn)
-	var extent int64
-	if n := len(fn.Allocas); n > 0 {
-		extent = off[n-1] + fn.Allocas[n-1].Size
-	}
-	slot := alignUp(extent, 8)
-	fl := FrameLayout{Offsets: off, Size: alignUp(slot+8, 16)}
+func (*ShadowStack) Layout(fn *ir.Function) FrameLayout {
+	ff := fn.Frame()
+	slot := ir.AlignUp(ff.Extent, 8)
+	fl := FrameLayout{Offsets: ff.Offsets, Size: ir.AlignUp(slot+8, 16)}
 	fl.AddSlot(SlotReturn, slot)
-	s.cache[fn.ID] = fl
 	return fl
 }
 
@@ -303,13 +213,6 @@ func (*ShadowStack) RodataBytes() int64 { return 0 }
 // ---------------------------------------------------------------------------
 // Stackato
 
-// stackatoShape is the compile-time half of a Stackato frame: fixed
-// offsets and the raw (pre-padding) extent.
-type stackatoShape struct {
-	off    []int64
-	extent int64
-}
-
 // Stackato places a per-frame canary above the locals and a fresh random
 // pad below them on every invocation: relative distances inside the frame
 // survive (its §II weakness against intra-frame DOP), but the frame size,
@@ -317,13 +220,11 @@ type stackatoShape struct {
 // per call.
 type Stackato struct {
 	source rng.Source
-	mu     sync.Mutex
-	cache  map[int]stackatoShape
 }
 
 // NewStackato builds the engine drawing pads from source.
 func NewStackato(source rng.Source) *Stackato {
-	return &Stackato{source: source, cache: make(map[int]stackatoShape)}
+	return &Stackato{source: source}
 }
 
 // Name implements Engine.
@@ -335,34 +236,17 @@ func (*Stackato) NewRun() {}
 // Source exposes the padding RNG (prediction ablations, entropy probes).
 func (s *Stackato) Source() rng.Source { return s.source }
 
-// shape returns the cached fixed layout of fn.
-func (s *Stackato) shape(fn *ir.Function) stackatoShape {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sh, ok := s.cache[fn.ID]; ok {
-		return sh
-	}
-	off, _ := fixedOffsets(fn)
-	var extent int64
-	if n := len(fn.Allocas); n > 0 {
-		extent = off[n-1] + fn.Allocas[n-1].Size
-	}
-	sh := stackatoShape{off: off, extent: extent}
-	s.cache[fn.ID] = sh
-	return sh
-}
-
 // Layout implements Engine: one draw per invocation — pad below the
 // locals, canary above them.
 func (s *Stackato) Layout(fn *ir.Function) FrameLayout {
-	sh := s.shape(fn)
+	ff := fn.Frame()
 	pad := int64(s.source.Next()%(stackatoMaxPad/16)) * 16
-	offsets := make([]int64, len(sh.off))
-	for i, o := range sh.off {
+	offsets := make([]int64, len(ff.Offsets))
+	for i, o := range ff.Offsets {
 		offsets[i] = o + pad
 	}
-	canary := alignUp(pad+sh.extent, 8)
-	fl := FrameLayout{Offsets: offsets, Size: alignUp(canary+8, 16)}
+	canary := ir.AlignUp(pad+ff.Extent, 8)
+	fl := FrameLayout{Offsets: offsets, Size: ir.AlignUp(canary+8, 16)}
 	fl.AddSlot(SlotCanary, canary)
 	return fl
 }

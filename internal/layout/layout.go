@@ -19,8 +19,8 @@
 package layout
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/ir"
@@ -175,28 +175,11 @@ type Engine interface {
 	RodataBytes() int64
 }
 
-// fixedOffsets computes declaration-order offsets with alignment padding;
-// the shared baseline layout. Returns the offsets and the 16-byte aligned
-// frame size.
-func fixedOffsets(fn *ir.Function) ([]int64, int64) {
-	offsets := make([]int64, len(fn.Allocas))
-	var ind int64
-	for i, a := range fn.Allocas {
-		ind = alignUp(ind, a.Align)
-		offsets[i] = ind
-		ind += a.Size
-	}
-	return offsets, alignUp(ind, 16)
-}
-
-func alignUp(n, a int64) int64 {
-	if a <= 1 {
-		return n
-	}
-	if rem := n % a; rem != 0 {
-		return n + a - rem
-	}
-	return n
+// declOrder is the declaration-order layout — the shared baseline frame —
+// of the function with frame facts ff (ir.Function.Frame). Its offsets
+// are the facts' own slice, shared by every engine instance.
+func declOrder(ff *ir.FrameFacts) FrameLayout {
+	return FrameLayout{Offsets: ff.Offsets, Size: ff.Size}
 }
 
 // splitmix is the deterministic stream used for compile-time randomness.
@@ -213,25 +196,6 @@ func (r *splitmix) next() uint64 {
 // ---------------------------------------------------------------------------
 // Fixed
 
-// fixedLayoutCache shares declaration-order layouts across every engine
-// instance that uses them verbatim (Fixed, BaseRand). The layout is a pure
-// function of the IR, so all instances agree on the value, and engines are
-// constructed per run — a per-instance cache would never warm. Keyed by
-// function identity (IDs are only unique within one program); entries live
-// as long as the program, which the compiled-code caches pin anyway.
-var fixedLayoutCache sync.Map // *ir.Function -> FrameLayout
-
-// fixedLayout returns fn's cached declaration-order layout.
-func fixedLayout(fn *ir.Function) FrameLayout {
-	if fl, ok := fixedLayoutCache.Load(fn); ok {
-		return fl.(FrameLayout)
-	}
-	off, size := fixedOffsets(fn)
-	fl := FrameLayout{Offsets: off, Size: size}
-	fixedLayoutCache.Store(fn, fl)
-	return fl
-}
-
 // Fixed is the uninstrumented baseline.
 type Fixed struct{}
 
@@ -246,7 +210,7 @@ func (*Fixed) NewRun() {}
 
 // Layout implements Engine.
 func (*Fixed) Layout(fn *ir.Function) FrameLayout {
-	return fixedLayout(fn)
+	return declOrder(fn.Frame())
 }
 
 // PrologueCycles implements Engine.
@@ -314,11 +278,11 @@ func (s *StaticRand) Layout(fn *ir.Function) FrameLayout {
 	offsets := make([]int64, n)
 	var ind int64
 	for _, ai := range order {
-		ind = alignUp(ind, fn.Allocas[ai].Align)
+		ind = ir.AlignUp(ind, fn.Allocas[ai].Align)
 		offsets[ai] = ind
 		ind += fn.Allocas[ai].Size
 	}
-	fl := FrameLayout{Offsets: offsets, Size: alignUp(ind, 16)}
+	fl := FrameLayout{Offsets: offsets, Size: ir.AlignUp(ind, 16)}
 	s.cache[fn.ID] = fl
 	return fl
 }
@@ -375,24 +339,19 @@ func (p *Padding) Layout(fn *ir.Function) FrameLayout {
 	if fl, ok := p.cache[fn.ID]; ok {
 		return fl
 	}
-	off, size := fixedOffsets(fn)
 	// Forrest-style padding applies to frames larger than 16 bytes, where
-	// the frame extent includes alignment padding between allocations —
-	// the highest offset plus its allocation's size (offsets are
-	// declaration-ordered and monotonic).
-	var total int64
-	if n := len(fn.Allocas); n > 0 {
-		total = off[n-1] + fn.Allocas[n-1].Size
-	}
-	if total > 16 {
+	// the frame extent includes alignment padding between allocations.
+	ff := fn.Frame()
+	fl := declOrder(ff)
+	if ff.Extent > 16 {
 		r := &splitmix{s: p.seed ^ (uint64(fn.ID)+1)*0xc6a4a7935bd1e995}
 		pad := int64(1+r.next()%8) * 8 // one of 8, 16, ..., 64
-		for i := range off {
-			off[i] += pad
+		fl.Offsets = make([]int64, len(ff.Offsets))
+		for i, o := range ff.Offsets {
+			fl.Offsets[i] = o + pad
 		}
-		size = alignUp(size+pad, 16)
+		fl.Size = ir.AlignUp(ff.Size+pad, 16)
 	}
-	fl := FrameLayout{Offsets: off, Size: size}
 	p.cache[fn.ID] = fl
 	return fl
 }
@@ -453,7 +412,7 @@ func (b *BaseRand) NewRun() {
 
 // Layout implements Engine.
 func (*BaseRand) Layout(fn *ir.Function) FrameLayout {
-	return fixedLayout(fn)
+	return declOrder(fn.Frame())
 }
 
 // PrologueCycles implements Engine.
@@ -586,14 +545,24 @@ func (p *SmokestackPlan) NewEngine(source rng.Source) *Smokestack {
 // multiset sharing happens one level down, in pbox.Cache.
 type PlanCache struct {
 	mu     sync.Mutex
-	plans  map[string]*SmokestackPlan
+	plans  map[planKey]*SmokestackPlan
 	hits   int
 	misses int
 }
 
+// planKey identifies a plan: the normalized options plus shape, the
+// program's allocation sequences — per function, the alloca count
+// followed by each alloca's size and alignment, as varints.
+type planKey struct {
+	pbox      pbox.Config
+	guard     bool
+	maxVLAPad int64
+	shape     string
+}
+
 // NewPlanCache creates an empty plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[string]*SmokestackPlan)}
+	return &PlanCache{plans: make(map[planKey]*SmokestackPlan)}
 }
 
 // Plan returns the cached plan for (prog, opts), building it on miss.
@@ -603,15 +572,15 @@ func (pc *PlanCache) Plan(prog *ir.Program, opts *SmokestackOptions) *Smokestack
 		o = *opts
 		o.normalize()
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pbox=%+v;guard=%t;vla=%d", o.PBox, o.Guard, o.MaxVLAPad)
+	var shape []byte
 	for _, fn := range prog.Funcs {
-		sb.WriteByte('|')
+		shape = binary.AppendUvarint(shape, uint64(len(fn.Allocas)))
 		for _, a := range fn.Allocas {
-			fmt.Fprintf(&sb, "%d/%d;", a.Size, a.Align)
+			shape = binary.AppendVarint(shape, a.Size)
+			shape = binary.AppendVarint(shape, a.Align)
 		}
 	}
-	k := sb.String()
+	k := planKey{pbox: o.PBox, guard: o.Guard, maxVLAPad: o.MaxVLAPad, shape: string(shape)}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if p, ok := pc.plans[k]; ok {

@@ -406,11 +406,15 @@ func TestPaddingThresholdCountsAlignment(t *testing.T) {
 }
 
 // TestLayoutCachesConcurrent shares one StaticRand and one Padding engine
-// across goroutines hammering Layout — the post-PR-1 plan/engine split
-// invites exactly this sharing. Run under -race this fails if the layout
-// caches are unguarded; all goroutines must also agree on the layouts.
+// across goroutines hammering Layout — the plan/engine split invites
+// exactly this sharing — and has 8 goroutines build a fresh program's
+// per-function frame facts at once. Run under -race this fails if a layout
+// cache or the facts are unguarded; all goroutines must also agree on the
+// layouts, and every caller of Function.Frame must get the one stored
+// value.
 func TestLayoutCachesConcurrent(t *testing.T) {
 	p := testProg(t)
+	frameFactsConcurrent(t, p)
 	engines := []layout.Engine{layout.NewStaticRand(11), layout.NewPadding(11)}
 	for _, eng := range engines {
 		eng := eng
@@ -441,6 +445,57 @@ func TestLayoutCachesConcurrent(t *testing.T) {
 		close(errc)
 		if err := <-errc; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// frameFactsConcurrent releases 8 goroutines at once onto a fresh compile
+// of p's source, whose functions have no frame facts yet: each calls
+// Frame and lays every function out under the engines that read the
+// facts. Layouts must match those of p (built beforehand by separate
+// engine instances), and all goroutines must see the same facts.
+func frameFactsConcurrent(t *testing.T, p *ir.Program) {
+	t.Helper()
+	engines := func() []layout.Engine {
+		return []layout.Engine{
+			layout.NewFixed(), layout.NewBaseRand(rng.SeededTRNG(1)), layout.NewPadding(11),
+			layout.NewCleanStack(rng.SeededTRNG(1)), layout.NewShadowStack(),
+		}
+	}
+	want := make(map[string]string)
+	for _, eng := range engines() {
+		for _, fn := range p.Funcs {
+			want[eng.Name()+"/"+fn.Name] = fmt.Sprint(eng.Layout(fn))
+		}
+	}
+	fresh := testProg(t)
+	shared := engines()
+	const workers = 8
+	facts := make([][]*ir.FrameFacts, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for _, fn := range fresh.Funcs {
+				facts[g] = append(facts[g], fn.Frame())
+				for _, eng := range shared {
+					if got, w := fmt.Sprint(eng.Layout(fn)), want[eng.Name()+"/"+fn.Name]; got != w {
+						t.Errorf("%s/%s: concurrent layout %s != %s", eng.Name(), fn.Name, got, w)
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range facts {
+		for i, fn := range fresh.Funcs {
+			if facts[g][i] != fn.Frame() {
+				t.Fatalf("goroutine %d got different frame facts for %s", g, fn.Name)
+			}
 		}
 	}
 }

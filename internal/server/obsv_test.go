@@ -47,7 +47,7 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 	for _, key := range []string{
 		"active_sessions", "executing", "queued", "tenants", "inflight", "draining",
-		"pool_hits", "pool_misses", "pool_puts", "pool_drops",
+		"pool_hits", "pool_misses", "pool_puts", "pool_drops", "pool_retained",
 		"queue_slots", "queue_max_waiters",
 		"progcache_len", "progcache_hits", "progcache_misses", "progcache_evictions",
 		"audit_events", "flight_sessions",

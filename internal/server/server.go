@@ -20,8 +20,9 @@
 //   - Graceful drain: stop admitting, give in-flight sessions a grace
 //     period, then cancel them and wait for the unwind — bounded, and
 //     every shed session still streams a complete, classified record set.
-//   - Memory bounds: inline programs live in a bounded compile cache, the
-//     Machine pool is capped per key and drained by an idle janitor.
+//   - Memory bounds: inline programs live in a bounded compile cache whose
+//     evictions take the programs' pooled Machines with them; the Machine
+//     pool is also capped per key and drained by an idle janitor.
 //
 // Determinism survives the service boundary: a session's streamed bytes
 // are identical to exp.WriteJSON over the same spec run through the
@@ -526,6 +527,7 @@ type StatsSnapshot struct {
 	PoolMisses     uint64            `json:"pool_misses"`
 	PoolPuts       uint64            `json:"pool_puts"`
 	PoolDrops      uint64            `json:"pool_drops"`
+	PoolRetained   int               `json:"pool_retained"`
 	QueueSlots     int               `json:"queue_slots"`
 	QueueMaxWait   int               `json:"queue_max_waiters"`
 	ProgCacheLen   int               `json:"progcache_len"`
@@ -553,6 +555,7 @@ func (s *Server) stats() StatsSnapshot {
 		PoolMisses:     pool.Misses,
 		PoolPuts:       pool.Puts,
 		PoolDrops:      pool.Drops,
+		PoolRetained:   pool.Retained,
 		QueueSlots:     s.cfg.MaxConcurrent,
 		QueueMaxWait:   s.cfg.MaxQueued,
 		ProgCacheLen:   progLen,

@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -376,6 +378,68 @@ func TestReconcileDetectsMismatch(t *testing.T) {
 	}
 	if err := FoldTrace(events).Reconcile(); err == nil {
 		t.Fatal("Reconcile accepted a corrupted total")
+	}
+}
+
+// refMergeRows is the map-and-resort MergeRows that the binary-search
+// version replaced, kept as its reference.
+func refMergeRows(a, b []Row) []Row {
+	type key struct{ kind, name string }
+	idx := make(map[key]int, len(a))
+	for i, r := range a {
+		idx[key{r.Kind, r.Name}] = i
+	}
+	for _, r := range b {
+		k := key{r.Kind, r.Name}
+		if i, ok := idx[k]; ok {
+			a[i].Count += r.Count
+			a[i].Cycles += r.Cycles
+		} else {
+			idx[k] = len(a)
+			a = append(a, r)
+		}
+	}
+	sort.Slice(a, func(i, j int) bool {
+		if a[i].Kind != a[j].Kind {
+			return a[i].Kind < a[j].Kind
+		}
+		return a[i].Name < a[j].Name
+	})
+	return a
+}
+
+// TestMergeRowsMatchesReference accumulates seeded row batches — unsorted,
+// with repeated keys, some all-known and some empty — through MergeRows
+// and the reference, and requires identical rows after every batch,
+// cycles compared with ==. Cycles are arbitrary floats, not grid
+// multiples, so any change in the order of additions would show.
+func TestMergeRowsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(0x7e1e))
+	kinds := []string{"cat", "op"}
+	names := []string{"add", "alu", "call", "load", "mem", "store", "z"}
+	for seq := 0; seq < 50; seq++ {
+		var got, want []Row
+		for batch := 0; batch < 40; batch++ {
+			b := make([]Row, r.Intn(12))
+			for i := range b {
+				b[i] = Row{
+					Kind:   kinds[r.Intn(len(kinds))],
+					Name:   names[r.Intn(len(names))],
+					Count:  uint64(r.Intn(100)),
+					Cycles: r.Float64() * 1e3,
+				}
+			}
+			got = MergeRows(got, append([]Row(nil), b...))
+			want = refMergeRows(want, append([]Row(nil), b...))
+			if len(got) != len(want) {
+				t.Fatalf("seq %d batch %d: %d rows, reference %d", seq, batch, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seq %d batch %d row %d: %+v, reference %+v", seq, batch, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // SpanNode is one reconstructed span: its events in sequence order, its
@@ -161,31 +163,44 @@ func firstSeq(n *SpanNode) uint64 {
 }
 
 // MergeRows folds b into a by (kind, name), returning the merged slice
-// sorted by (kind, name); grid-rounded cycles add
-// exactly.
+// sorted by (kind, name); grid-rounded cycles add exactly. a must be nil
+// or an earlier result (sorted, one row per key) and is updated in place;
+// b may be in any order and repeat keys. Each key's rows add in b's order,
+// so the sums are bit-identical to folding b row by row.
 func MergeRows(a, b []Row) []Row {
-	type key struct{ kind, name string }
-	idx := make(map[key]int, len(a))
-	for i, r := range a {
-		idx[key{r.Kind, r.Name}] = i
-	}
+	n := len(a)
 	for _, r := range b {
-		k := key{r.Kind, r.Name}
-		if i, ok := idx[k]; ok {
+		if i, ok := slices.BinarySearchFunc(a[:n], r, compareRows); ok {
 			a[i].Count += r.Count
 			a[i].Cycles += r.Cycles
 		} else {
-			idx[k] = len(a)
 			a = append(a, r)
 		}
 	}
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].Kind != a[j].Kind {
-			return a[i].Kind < a[j].Kind
+	if len(a) == n {
+		return a
+	}
+	// New keys were appended in b's order; a stable sort keeps that order
+	// among equal keys, so folding neighbours adds them as b listed them.
+	slices.SortStableFunc(a, compareRows)
+	out := a[:1]
+	for _, r := range a[1:] {
+		if last := &out[len(out)-1]; compareRows(*last, r) == 0 {
+			last.Count += r.Count
+			last.Cycles += r.Cycles
+		} else {
+			out = append(out, r)
 		}
-		return a[i].Name < a[j].Name
-	})
-	return a
+	}
+	return out
+}
+
+// compareRows orders rows by (kind, name).
+func compareRows(x, y Row) int {
+	if c := strings.Compare(x.Kind, y.Kind); c != 0 {
+		return c
+	}
+	return strings.Compare(x.Name, y.Name)
 }
 
 // Reconcile verifies the tree's exactness contract: every run.end event's

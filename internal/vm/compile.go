@@ -38,6 +38,7 @@ package vm
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ir"
 )
@@ -280,6 +281,10 @@ type CodeCache struct {
 	blockMisses int
 	hotMu       sync.Mutex
 	hot         map[*ir.Program][][]uint64
+
+	// retired marks a cache its owner discarded (MachinePool.Retire):
+	// Machines built on it are no longer pooled.
+	retired atomic.Bool
 }
 
 // OnCompile installs the compile observer (nil to clear).

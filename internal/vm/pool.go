@@ -26,8 +26,9 @@ import (
 // worker-per-cell model); each pooled Machine is still single-goroutine
 // property of whoever holds it between Get and Put.
 type MachinePool struct {
-	mu   sync.Mutex
-	free map[poolKey][]*Machine
+	mu       sync.Mutex
+	free     map[poolKey][]*Machine
+	retained int // Machines in free, guarded by mu
 
 	// maxPerKey bounds retained Machines per key; excess Puts are dropped
 	// so pool growth stays bounded by grid concurrency, not grid size.
@@ -59,8 +60,9 @@ type PoolStats struct {
 	Hits          uint64 // Gets served by resetting a cached Machine
 	Misses        uint64 // Gets that fell back to New
 	Puts          uint64 // Machines returned and retained
-	Drops         uint64 // Machines returned but discarded (full or unpoolable)
+	Drops         uint64 // Machines returned but discarded (full, unpoolable or retired)
 	RestoredBytes uint64 // cumulative copy-on-reset bytes (mem.snapshot feed)
+	Retained      int    // Machines the pool holds right now
 }
 
 // DefaultMaxPerKey bounds retained Machines per pool key. Sized for the
@@ -110,6 +112,7 @@ func (p *MachinePool) Get(prog *ir.Program, engine layout.Engine, env *Env, opts
 	if list := p.free[key]; len(list) > 0 {
 		m = list[len(list)-1]
 		p.free[key] = list[:len(list)-1]
+		p.retained--
 	}
 	p.mu.Unlock()
 	if m != nil {
@@ -131,9 +134,9 @@ func (p *MachinePool) Get(prog *ir.Program, engine layout.Engine, env *Env, opts
 
 // Put returns a Machine obtained from Get to the pool. Machines that
 // cannot be soundly reused — construction-faulted, never sealed — and
-// Machines beyond the per-key retention bound are dropped for the
-// collector instead. Put(nil) is a no-op so error paths can return
-// unconditionally.
+// Machines beyond the per-key retention bound or built on a retired code
+// cache are dropped for the collector instead. Put(nil) is a no-op so
+// error paths can return unconditionally.
 func (p *MachinePool) Put(m *Machine) {
 	if m == nil {
 		return
@@ -154,26 +157,50 @@ func (p *MachinePool) Put(m *Machine) {
 	}
 	p.mu.Lock()
 	list := p.free[key]
-	if len(list) >= p.maxPerKey {
+	// The retired check is under mu: Retire marks the cache before it
+	// sweeps under mu, so a Put racing it is either swept or sees the mark.
+	if len(list) >= p.maxPerKey || m.codeCache.retired.Load() {
 		p.mu.Unlock()
 		p.drops.Add(1)
 		return
 	}
 	p.free[key] = append(list, m)
+	p.retained++
 	p.mu.Unlock()
 	p.puts.Add(1)
 }
 
+// Retire marks code cache c discarded and drops every Machine the pool
+// holds that was built on it; later Puts of such Machines (a run still in
+// flight) drop them too. The owner of a private code cache calls it when
+// it discards the cache: nothing can look those Machines up again.
+func (p *MachinePool) Retire(c *CodeCache) {
+	c.retired.Store(true)
+	p.mu.Lock()
+	for k, list := range p.free {
+		if k.cache == c {
+			p.retained -= len(list)
+			delete(p.free, k)
+		}
+	}
+	p.mu.Unlock()
+}
+
 // Stats snapshots the pool counters. Safe to call concurrently with
 // Get/Put; reading costs nothing when nobody asks (the counters are plain
-// atomics the hot path touches once per run, not per step).
+// atomics the hot path touches once per run, not per step, and Retained
+// is read under the pool lock).
 func (p *MachinePool) Stats() PoolStats {
+	p.mu.Lock()
+	retained := p.retained
+	p.mu.Unlock()
 	return PoolStats{
 		Hits:          p.hits.Load(),
 		Misses:        p.misses.Load(),
 		Puts:          p.puts.Load(),
 		Drops:         p.drops.Load(),
 		RestoredBytes: p.restored.Load(),
+		Retained:      retained,
 	}
 }
 
@@ -184,5 +211,6 @@ func (p *MachinePool) Drain() {
 	for k := range p.free {
 		delete(p.free, k)
 	}
+	p.retained = 0
 	p.mu.Unlock()
 }

@@ -1,10 +1,11 @@
 package vm
 
 // Race hammer for MachinePool: concurrent Get/Run/Put across several pool
-// keys, with Stats readers and Drain calls in flight. Run under -race this
-// pins the pool's concurrency contract: counters stay monotone and
-// consistent, per-key retention never exceeds the bound, and a recycled
-// Machine always produces the same result as a fresh one.
+// keys, with Stats readers, Drain calls and code-cache retirements in
+// flight. Run under -race this pins the pool's concurrency contract:
+// counters stay monotone and consistent, per-key retention never exceeds
+// the bound, no Machine of a retired code cache stays pooled, and a
+// recycled Machine always produces the same result as a fresh one.
 
 import (
 	"runtime"
@@ -82,6 +83,27 @@ func TestMachinePoolRaceHammer(t *testing.T) {
 		}
 	}()
 
+	// Retire hammer: key 0's Machines are built on a private code cache
+	// that is periodically swapped out and retired while some of them are
+	// out on runs, the way evicting an inline program retires its cache.
+	var private atomic.Pointer[CodeCache]
+	private.Store(NewCodeCache())
+	statsWG.Add(1)
+	go func() {
+		defer statsWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i%32 == 0 {
+				pool.Retire(private.Swap(NewCodeCache()))
+			}
+			runtime.Gosched()
+		}
+	}()
+
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -94,6 +116,9 @@ func TestMachinePoolRaceHammer(t *testing.T) {
 				opts := &Options{
 					TRNG:      rng.SeededTRNG(uint64(w*1_000_003 + i)),
 					StepLimit: uint64(1_000_000 * (k + 1)),
+				}
+				if k == 0 {
+					opts.CodeCache = private.Load()
 				}
 				m := pool.Get(prog, layout.NewFixed(), &Env{}, opts)
 				gets.Add(1)
@@ -126,13 +151,23 @@ func TestMachinePoolRaceHammer(t *testing.T) {
 		t.Errorf("puts %d + drops %d = %d, want >= %d Put calls", s.Puts, s.Drops, got, putCalls.Load())
 	}
 
-	// The retention bound must hold for every key even after the race
-	// (internal inspection — this is why the test lives in package vm).
+	// The retention bound must hold for every key even after the race,
+	// retired caches must have no pooled Machines, and the retained count
+	// must match the lists (internal inspection — this is why the test
+	// lives in package vm).
 	pool.mu.Lock()
+	held := 0
 	for k, list := range pool.free {
+		held += len(list)
 		if len(list) > maxPerKey {
 			t.Errorf("key %+v retains %d Machines, bound %d", k, len(list), maxPerKey)
 		}
+		if len(list) > 0 && k.cache.retired.Load() {
+			t.Errorf("key %+v retains %d Machines of a retired code cache", k, len(list))
+		}
+	}
+	if held != pool.retained {
+		t.Errorf("retained count %d, pool holds %d Machines", pool.retained, held)
 	}
 	pool.mu.Unlock()
 }

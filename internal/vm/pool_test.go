@@ -293,6 +293,39 @@ func TestMachinePoolReuse(t *testing.T) {
 	}
 }
 
+// TestPoolRetire checks that retiring a code cache drops the Machines the
+// pool holds for it at once, drops one still out on a run when it is put
+// back, and leaves Machines of other caches pooled.
+func TestPoolRetire(t *testing.T) {
+	prog := compile.MustCompile("pool.c", poolProgSrc)
+	pool := vm.NewMachinePool(0)
+	private, other := vm.NewCodeCache(), vm.NewCodeCache()
+	get := func(c *vm.CodeCache) *vm.Machine {
+		return pool.Get(prog, layout.NewFixed(), &vm.Env{}, &vm.Options{TRNG: rng.SeededTRNG(1), CodeCache: c})
+	}
+	pooled, running, kept := get(private), get(private), get(other)
+	pool.Put(pooled)
+	pool.Put(kept)
+	if st := pool.Stats(); st.Retained != 2 {
+		t.Fatalf("retained %d before Retire, want 2", st.Retained)
+	}
+	pool.Retire(private)
+	if st := pool.Stats(); st.Retained != 1 {
+		t.Fatalf("retained %d after Retire, want 1 (the other cache's)", st.Retained)
+	}
+	drops := pool.Stats().Drops
+	pool.Put(running)
+	if st := pool.Stats(); st.Retained != 1 || st.Drops != drops+1 {
+		t.Fatalf("Put after Retire: retained %d drops %d, want 1 and %d", st.Retained, st.Drops, drops+1)
+	}
+	if m := get(other); m != kept {
+		t.Fatal("Retire dropped another cache's Machine")
+	}
+	if st := pool.Stats(); st.Retained != 0 {
+		t.Fatalf("retained %d after the last Get, want 0", st.Retained)
+	}
+}
+
 // TestPoolZeroAllocSteadyState pins the headline property: a pooled
 // Get/Run/Put cycle in steady state allocates nothing.
 func TestPoolZeroAllocSteadyState(t *testing.T) {
