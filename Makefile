@@ -2,8 +2,9 @@
 # must pass: compile, gofmt-clean sources, vet, the full test suite under
 # the race detector (the parallel experiment pipeline makes -race
 # load-bearing), the invariance suite re-run under the legacy switch
-# interpreter so both execution tiers stay pinned to the same goldens, and
-# one end-to-end pass over every command-line surface.
+# interpreter so both execution tiers stay pinned to the same goldens,
+# one end-to-end pass over every command-line surface, and vet plus tests
+# of the nested perfbench module.
 GO ?= go
 
 # The workload and harness packages run whole experiment grids; under
@@ -17,9 +18,9 @@ RACE_TIMEOUT ?= 3600s
 BENCH_PREV ?= BENCH_4.json
 BENCH_NEXT ?= BENCH_5.json
 
-.PHONY: ci build fmt vet test race bench bench-compare smokebench invariance smoke
+.PHONY: ci build fmt vet test race bench bench-compare smokebench invariance smoke perfbench
 
-ci: build fmt vet race invariance smoke smokebench
+ci: build fmt vet race invariance smoke smokebench perfbench
 
 build:
 	$(GO) build ./...
@@ -90,6 +91,13 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -diff -threshold 35 \
 		-only 'VMThroughput|VMWorkloads|MemAccess' \
 		-zeroalloc 'RunSetup/reset' $(BENCH_PREV) $(BENCH_NEXT)
+
+# perfbench/ is its own module (replace repro => ../), so `build`, `vet`
+# and `race` above never compile it; this vets and tests it against the
+# current tree, so a broken API it calls fails here rather than only when
+# the benchmark runs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Single-iteration pass over the hot-path benchmarks: catches benchmarks
 # that stopped compiling or started failing without paying for steady-state

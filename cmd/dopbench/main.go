@@ -20,9 +20,9 @@
 //
 // -exec pins the VM executor tier for every run (equivalent to setting
 // SMOKESTACK_EXEC): "switch" is the reference interpreter, "block" (the
-// default) the fused compiled tier with profile-guided block
-// superinstructions. Both produce bit-identical results; the flag exists
-// for tier benchmarking and differential debugging.
+// default) the fused compiled tier with block superinstructions. Both
+// produce bit-identical results; the flag exists for tier benchmarking
+// and differential debugging.
 //
 // -faults is shorthand for -exp faults: the entropy-brownout/host-fault
 // sweep. Cells that fail *because of the injected schedule* carry a

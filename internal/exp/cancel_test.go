@@ -70,11 +70,14 @@ func TestRunnerCtxCancelBetweenCells(t *testing.T) {
 
 // TestRunnerCtxCancelParallel pins the same contract on the parallel path:
 // after cancellation no new cell bodies start, every cell still gets a
-// record, and records stay in cell order.
+// record, and records stay in cell order. Every other cell waits for cell
+// 0 to cancel, so a worker descheduled between claiming cell 0 and running
+// it cannot let the rest of the grid finish first.
 func TestRunnerCtxCancelParallel(t *testing.T) {
 	const n = 64
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	cell0Canceled := make(chan struct{})
 	var ran atomic.Int64
 	cells := make([]Cell, n)
 	for i := range cells {
@@ -86,6 +89,9 @@ func TestRunnerCtxCancelParallel(t *testing.T) {
 				ran.Add(1)
 				if i == 0 {
 					cancel()
+					close(cell0Canceled)
+				} else {
+					<-cell0Canceled
 				}
 				return []Record{{Experiment: "cancel", Cell: fmt.Sprintf("cell%d", i)}}, nil
 			},

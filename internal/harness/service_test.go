@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/faultinject"
+	"repro/internal/ir"
 )
 
 // sessionSrc is a small inline MiniC session program.
@@ -205,6 +208,49 @@ func TestSessionEvictionReleasesMachines(t *testing.T) {
 	if got := MachinePoolStats().Retained; got > 2*ProgCacheCap {
 		t.Fatalf("pool retains %d Machines after %d programs, want at most %d (2 per cached program)",
 			got, programs, 2*ProgCacheCap)
+	}
+}
+
+// TestEvictedInlineProgramsCollected pins the memory bound the package
+// comment promises: once the inline-program cache evicts a program and
+// retires its Machines, nothing in the process keeps the program
+// reachable. ProgCacheCap more distinct programs push the first few out;
+// the finalizers on those first programs must then all run.
+func TestEvictedInlineProgramsCollected(t *testing.T) {
+	DrainMachinePool()
+	defer DrainMachinePool()
+	const tracked = 8
+	var collected atomic.Int32
+	for i := 0; i < ProgCacheCap+tracked; i++ {
+		spec := SessionSpec{
+			Source:  fmt.Sprintf("long main() { long x; x = %d; return x & 255; }", 7000+i),
+			Engines: []string{"fixed", "smokestack+aes-10"},
+		}
+		if i < tracked {
+			p, err := sessionProgram(spec)
+			if err != nil {
+				t.Fatalf("program %d: %v", i, err)
+			}
+			runtime.SetFinalizer(p.prog, func(*ir.Program) { collected.Add(1) })
+		}
+		recs, err := RunSession(Config{}, spec)
+		if err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+		for _, r := range recs {
+			if r.Err != "" {
+				t.Fatalf("program %d: %s: %s", i, r.Cell, r.Err)
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for collected.Load() < tracked {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d evicted inline programs still reachable after GC",
+				tracked-int(collected.Load()), tracked)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -1,8 +1,7 @@
-// Block tier, compile half: profile-guided block superinstructions on top
-// of the threaded stream. A one-shot profiling pre-run (switch tier, fixed
-// layout, constant TRNG seed — fully deterministic per program) counts how
-// often each IR pc executes; hot straight-line runs of the threaded stream
-// are then folded into cBlock superinstructions that the executor
+// Block tier, compile half: block superinstructions on top of the
+// threaded stream. Block formation is a pure function of that stream:
+// every maximal straight-line run of blockable cinstrs with no interior
+// jump target is folded into a cBlock superinstruction that the executor
 // dispatches once per block with ONE amortized step-budget check and ONE
 // pre-summed cost add, instead of one check and 1-4 float adds per cinstr.
 //
@@ -39,32 +38,17 @@ package vm
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/ir"
-	"repro/internal/layout"
-	"repro/internal/rng"
 )
 
 const (
-	// blockPreRunSteps bounds the profiling pre-run. It only needs to get
-	// past initialization and around the hot loops a few hundred times;
-	// the resulting counts are a heuristic, not an observable.
-	blockPreRunSteps = 2_000_000
-	// blockPreRunSeed seeds the pre-run TRNG. Any constant works; fixing
-	// it makes the block stream a pure function of the codeKey.
-	blockPreRunSeed = 0xb10c5eed
 	// blockMinUops / blockMaxUops bound block length (in cinstrs). The
 	// minimum keeps the per-dispatch overhead amortization worthwhile; the
 	// maximum bounds both the watchdog poll slack and the step-budget
 	// granularity of the careful fallback.
 	blockMinUops = 3
 	blockMaxUops = 64
-	// blockHotDivisor: a leader is hot when its pre-run execution count is
-	// at least total/blockHotDivisor (and at least blockHotFloor, so tiny
-	// programs form no blocks).
-	blockHotDivisor = 1024
-	blockHotFloor   = 16
 	// blockMaxCost caps each cost-table entry the integrality gate
 	// accepts: with costs <= 2^20 and step limits <= 2^32 the in-core
 	// cycle accumulator stays below 2^52, inside the exact-integer range.
@@ -160,87 +144,21 @@ func integralTable(ct *[ir.NumOps]float64) bool {
 	return true
 }
 
-// hotProfiles memoizes pre-run counts across CodeCache instances: the
-// counts are a pure function of the program alone (fixed layout engine,
-// constant TRNG seed, switch tier), so harness paths that build a private
-// cache per experiment cell would otherwise repeat an up-to-2M-step
-// pre-run — plus a full memory-image allocation — for the same workload
-// program dozens of times per pipeline. The map is pointer-keyed and
-// therefore pins its keys; hotProfilesCap bounds that retention so suites
-// that generate thousands of throwaway programs don't accumulate them.
-// Past the cap, new programs fall back to per-cache memoization only.
-var (
-	hotProfMu   sync.Mutex
-	hotProfiles = make(map[*ir.Program][][]uint64)
-)
-
-const hotProfilesCap = 256
-
-// hotCounts returns per-function, per-IR-pc execution counts from the
-// memoized profiling pre-run. The pre-run is deterministic (fixed layout
-// engine, constant TRNG seed, switch tier so it never touches this cache,
-// bounded step budget, empty environment); its outcome — clean return,
-// fault, or step limit — is irrelevant, only the counts matter.
-func (c *CodeCache) hotCounts(prog *ir.Program) [][]uint64 {
-	c.hotMu.Lock()
-	defer c.hotMu.Unlock()
-	if counts, ok := c.hot[prog]; ok {
-		return counts
-	}
-	hotProfMu.Lock()
-	counts, ok := hotProfiles[prog]
-	hotProfMu.Unlock()
-	if ok {
-		c.hot[prog] = counts
-		return counts
-	}
-	counts = make([][]uint64, len(prog.Funcs))
-	for i, fn := range prog.Funcs {
-		counts[i] = make([]uint64, len(fn.Code))
-	}
-	m := New(prog, layout.NewFixed(), &Env{}, &Options{
-		TRNG:      rng.SeededTRNG(blockPreRunSeed),
-		StepLimit: blockPreRunSteps,
-		Exec:      TierSwitch,
-	})
-	m.bbCount = counts
-	m.Run()
-	c.hot[prog] = counts
-	hotProfMu.Lock()
-	if len(hotProfiles) < hotProfilesCap {
-		hotProfiles[prog] = counts
-	}
-	hotProfMu.Unlock()
-	return counts
-}
-
 // blockCompiled returns the block-formed program for the key, building it
-// on miss from the threaded stream plus the memoized hot counts. The main
-// cache lock is never held across the pre-run.
+// on miss from the threaded stream. Like compiledLocked it builds under
+// the cache lock: formation is one linear pass per function, and
+// serializing builders guarantees each key forms its blocks exactly once.
 func (c *CodeCache) blockCompiled(prog *ir.Program, costs Costs, addrExtra float64, prof bool, globalAddr, dataAddr []uint64) *compiledProgram {
 	k := codeKey{prog: prog, costs: costs, addrExtra: addrExtra, prof: prof}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if bp, ok := c.blockProgs[k]; ok {
 		c.blockHits++
-		c.mu.Unlock()
 		return bp
 	}
-	c.mu.Unlock()
-
-	base := c.compiled(prog, costs, addrExtra, prof, globalAddr, dataAddr)
-	counts := c.hotCounts(prog)
-	ct := buildCostTableFrom(&costs, addrExtra)
-	bp := blockProgram(base, counts, &ct)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.blockProgs[k]; ok {
-		// Lost a build race; both builds are deterministic and identical —
-		// keep the stored one for pointer-equality sharing.
-		c.blockHits++
-		return prev
-	}
 	c.blockMisses++
+	ct := buildCostTableFrom(&costs, addrExtra)
+	bp := blockProgram(c.compiledLocked(k, globalAddr, dataAddr), &ct)
 	c.blockProgs[k] = bp
 	if c.onCompile != nil {
 		c.onCompile(prog.Name+"+blocks", len(prog.Funcs))
@@ -250,25 +168,16 @@ func (c *CodeCache) blockCompiled(prog *ir.Program, costs Costs, addrExtra float
 
 // blockProgram forms blocks over every function of a threaded program.
 // Returns the base program unchanged (pointer-equal) when the cost table
-// fails the integrality gate or no function is hot enough to form blocks.
-func blockProgram(base *compiledProgram, counts [][]uint64, ct *[ir.NumOps]float64) *compiledProgram {
+// fails the integrality gate or no function has a run long enough to form
+// a block.
+func blockProgram(base *compiledProgram, ct *[ir.NumOps]float64) *compiledProgram {
 	if !integralTable(ct) {
 		return base
-	}
-	var total uint64
-	for _, fc := range counts {
-		for _, n := range fc {
-			total += n
-		}
-	}
-	hotMin := total / blockHotDivisor
-	if hotMin < blockHotFloor {
-		hotMin = blockHotFloor
 	}
 	bp := &compiledProgram{funcs: make([]compiledFunc, len(base.funcs)), bbs: base.bbs}
 	changed := false
 	for i := range base.funcs {
-		bp.funcs[i] = blockFunc(&base.funcs[i], counts[i], hotMin)
+		bp.funcs[i] = blockFunc(&base.funcs[i])
 		if bp.funcs[i].blocks != nil {
 			changed = true
 		}
@@ -282,11 +191,10 @@ func blockProgram(base *compiledProgram, counts [][]uint64, ct *[ir.NumOps]float
 // blockFunc forms blocks over one function's threaded stream. A block is a
 // maximal run of blockable cinstrs whose interior indexes are not jump
 // targets, optionally closed by a branch terminator, at least blockMinUops
-// long, whose leader's IR pc executed at least hotMin times in the
-// pre-run. The returned stream is the input stream plus one appended
+// long. The returned stream is the input stream plus one appended
 // cBlock per mined block, with branch targets (and the entry) landing on a
 // block leader redirected to its superinstruction.
-func blockFunc(cf *compiledFunc, counts []uint64, hotMin uint64) compiledFunc {
+func blockFunc(cf *compiledFunc) compiledFunc {
 	code := cf.code
 	n := len(code)
 
@@ -324,8 +232,7 @@ func blockFunc(cf *compiledFunc, counts []uint64, hotMin uint64) compiledFunc {
 		}
 		// A non-terminated block needs an in-stream continuation; streams
 		// always end in a control op, so end==n only ever pairs with term.
-		if j-i >= blockMinUops && (term || j < n) &&
-			int(code[i].pc) < len(counts) && counts[code[i].pc] >= hotMin {
+		if j-i >= blockMinUops && (term || j < n) {
 			spans = append(spans, span{start: i, end: j, term: term})
 		}
 		i = j
@@ -367,7 +274,7 @@ func blockFunc(cf *compiledFunc, counts []uint64, hotMin uint64) compiledFunc {
 	// Redirect every branch landing on a block leader — in the overlay
 	// stream, inside each block's uop copies (self-loop back-edges), on
 	// each cBlock's fall-through continuation, and on each cCount's
-	// continuation in a profiled stream — so hot control flow re-enters
+	// continuation in a profiled stream — so control flow re-enters
 	// superinstructions while the plain copies remain reachable for
 	// mid-block resume.
 	remap := func(cs []cinstr) {
@@ -397,20 +304,4 @@ func blockFunc(cf *compiledFunc, counts []uint64, hotMin uint64) compiledFunc {
 		blocks:   blocks,
 		entry:    redirect[0],
 	}
-}
-
-// PrewarmBlockTier populates the process-wide code cache's block-tier
-// entry (threaded stream, hot counts, block stream) for prog under the
-// default cost model and a surcharge-free engine — the configuration every
-// harness cell and benchmark uses. Building a throwaway Machine is the
-// cheapest way to reach the exact cache key (global/rodata addresses are
-// computed during construction).
-func PrewarmBlockTier(prog *ir.Program) {
-	if prog == nil {
-		return
-	}
-	New(prog, layout.NewFixed(), &Env{}, &Options{
-		TRNG: rng.SeededTRNG(blockPreRunSeed),
-		Exec: TierBlock,
-	})
 }

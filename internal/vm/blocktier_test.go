@@ -13,8 +13,8 @@ import (
 )
 
 // blockProbeSrc has a hot inner loop (array writes, arithmetic, a
-// conditional) nested in calls, so the miner sees hot leaders in more than
-// one function and the blocks cover fused memory ops as well as plain ALU.
+// conditional) nested in calls, so blocks form in more than one function
+// and cover fused memory ops as well as plain ALU.
 const blockProbeSrc = `
 long glob;
 
@@ -575,14 +575,44 @@ long main() {
 	}
 }
 
-// TestPrewarmBlockTier pins that PrewarmBlockTier fills the default cache:
-// a Machine built afterwards for the same program must hit, not build.
-func TestPrewarmBlockTier(t *testing.T) {
-	prog := compile.MustCompile("prewarm.c", blockProbeSrc)
-	PrewarmBlockTier(prog)
-	_, missBefore := defaultCodeCache.BlockStats()
-	New(prog, layout.NewFixed(), &Env{}, &Options{TRNG: rng.SeededTRNG(2), Exec: TierBlock})
-	if _, missAfter := defaultCodeCache.BlockStats(); missAfter != missBefore {
-		t.Fatalf("prewarmed program rebuilt its block stream: misses %d -> %d", missBefore, missAfter)
+// blockColdSrc's cold function is never called: its straight-line body
+// executes zero times in any run of the program.
+const blockColdSrc = `
+long cold(long x) {
+	long y;
+	y = x * 3 + 7;
+	y = y ^ (x << 2);
+	return y - 1;
+}
+
+long main() {
+	return 42;
+}
+`
+
+// TestBlockFormationStatic pins that block formation is a pure function of
+// the threaded stream: a never-called function whose body opens with a
+// straight-line run of at least blockMinUops blockable cinstrs carries a
+// block in a Machine that never ran.
+func TestBlockFormationStatic(t *testing.T) {
+	prog := compile.MustCompile("cold.c", blockColdSrc)
+	cold := prog.Funcs[prog.FuncIdx["cold"]]
+	cc := NewCodeCache()
+	m := New(prog, layout.NewFixed(), &Env{}, &Options{
+		TRNG: rng.SeededTRNG(1), Exec: TierBlock, CodeCache: cc,
+	})
+	base := cc.compiled(prog, DefaultCosts(), 0, false, m.globalAddr, m.dataAddr)
+	run := 0
+	for _, c := range base.funcs[cold.ID].code {
+		if !blockable(c.op) {
+			break
+		}
+		run++
+	}
+	if run < blockMinUops {
+		t.Fatalf("cold body opens with %d blockable cinstrs, want >= %d", run, blockMinUops)
+	}
+	if len(m.ccode.funcs[cold.ID].blocks) == 0 {
+		t.Fatal("never-called straight-line function formed no block")
 	}
 }

@@ -164,9 +164,9 @@ const (
 	cAddrAddrLoad8
 
 	// cBlock is the block tier's superinstruction: one dispatch executes a
-	// whole profile-selected straight-line run of cinstrs (the "uops" of a
-	// blockDesc) with a single amortized step-budget check and a single
-	// pre-summed cost add. Only emitted by blockProgram (blocktier.go), and
+	// whole straight-line run of cinstrs (the "uops" of a blockDesc) with
+	// a single amortized step-budget check and a single pre-summed cost
+	// add. Only emitted by blockProgram (blocktier.go), and
 	// only when the folded cost table is integer-valued, which makes float
 	// cost addition exact and hence associative — the one pre-summed add is
 	// then bit-identical to the threaded tier's in-order per-constituent
@@ -269,18 +269,11 @@ type CodeCache struct {
 	onCompile func(prog string, funcs int)
 
 	// Block tier. blockProgs caches block-formed streams under the same
-	// codeKey — the profile-derived fusion decisions are a deterministic
-	// function of the key (the hot-count pre-run uses a fixed engine and a
-	// constant TRNG seed), so the key fully identifies the block stream
-	// too. hotCounts memoizes the one-shot profiling pre-run per program
-	// (counts do not depend on costs or the engine surcharge, only on the
-	// program), guarded by its own mutex because the pre-run runs a whole
-	// switch-tier Machine and must not hold the main cache lock.
+	// codeKey: block formation is a pure function of the threaded stream,
+	// so the key fully identifies the block stream too.
 	blockProgs  map[codeKey]*compiledProgram
 	blockHits   int
 	blockMisses int
-	hotMu       sync.Mutex
-	hot         map[*ir.Program][][]uint64
 
 	// retired marks a cache its owner discarded (MachinePool.Retire):
 	// Machines built on it are no longer pooled.
@@ -306,7 +299,6 @@ func NewCodeCache() *CodeCache {
 	return &CodeCache{
 		progs:      make(map[codeKey]*compiledProgram),
 		blockProgs: make(map[codeKey]*compiledProgram),
-		hot:        make(map[*ir.Program][][]uint64),
 	}
 }
 
@@ -329,8 +321,8 @@ func (c *CodeCache) Stats() (hits, misses int) {
 }
 
 // BlockStats reports block-tier cache hits and misses (for tooling and
-// tests; a miss implies one profiling pre-run plus one block-formation
-// pass over the threaded stream).
+// tests; a miss implies one block-formation pass over the threaded
+// stream).
 func (c *CodeCache) BlockStats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

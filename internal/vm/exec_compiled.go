@@ -81,8 +81,8 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 	code := cf.code
 	// Block tier: blocks holds the mined superinstruction descriptors and
 	// entry points at the function's first dispatch (a cBlock when the
-	// entry run is hot). Threaded streams have nil blocks and entry 0, and
-	// the core never touches either.
+	// entry run forms a block). Threaded streams have nil blocks and entry
+	// 0, and the core never touches either.
 	blocks := cf.blocks
 	costMul := 1.0
 	if m.jitter != nil {

@@ -104,7 +104,6 @@ func (m *Machine) Reset(engine layout.Engine, env *Env, opts *Options) (restored
 	m.watchdog = false
 	m.interrupted.Store(false)
 	m.initErr = nil
-	m.bbCount = nil
 	m.resetProfileState()
 
 	m.arm(engine, env, &o)

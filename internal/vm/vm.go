@@ -176,12 +176,12 @@ const (
 	// interpreter — the differential oracle the other tiers are checked
 	// against.
 	TierSwitch
-	// TierBlock executes the threaded stream with profile-guided block
-	// superinstructions layered on top (blocktier.go): hot straight-line
-	// runs dispatch as one cinstr with a pre-summed cost and an amortized
-	// step check, bit-identical to the other tiers by construction. Falls
-	// back to TierCompiled semantics when the cost table is not
-	// integer-valued or StepLimit exceeds 2^32 (see blocktier.go).
+	// TierBlock executes the threaded stream with block superinstructions
+	// layered on top (blocktier.go): straight-line runs dispatch as one
+	// cinstr with a pre-summed cost and an amortized step check,
+	// bit-identical to the other tiers by construction. Falls back to
+	// TierCompiled semantics when the cost table is not integer-valued or
+	// StepLimit exceeds 2^32 (see blocktier.go).
 	TierBlock
 )
 
@@ -426,13 +426,6 @@ type Machine struct {
 	profFrameAlloc uint64
 	profMemHits    uint64
 	profMemMisses  uint64
-
-	// bbCount, when non-nil, makes the switch interpreter count executions
-	// per function (outer index ir.Function.ID) and IR pc — the block
-	// tier's one-shot profiling pre-run (blocktier.go) attaches it to find
-	// hot basic blocks. Nil on every ordinary Machine: the hot loop pays a
-	// hoisted nil check, same discipline as the profiler fields.
-	bbCount [][]uint64
 
 	// Pooled-reuse plumbing (reset.go / pool.go). tier is the resolved
 	// execution tier and codeCache the resolved cache — construction-time
@@ -1228,12 +1221,6 @@ func (m *Machine) exec(fn *ir.Function, base uint64, offsets []int64) (int64, er
 	if m.prof != nil {
 		pw, pnn = &m.profW, &m.profN
 	}
-	// Per-pc execution counts for the block tier's profiling pre-run
-	// (blocktier.go). Same hoisted-nil discipline as the profiler.
-	var bb []uint64
-	if m.bbCount != nil {
-		bb = m.bbCount[fn.ID]
-	}
 	cycles := 0.0
 	steps, limit := m.steps, m.stepLimit
 	// next is the supervised chunk boundary: with the watchdog dormant it
@@ -1259,9 +1246,6 @@ func (m *Machine) exec(fn *ir.Function, base uint64, offsets []int64) (int64, er
 			next = supNext(steps, limit)
 		}
 		steps++
-		if bb != nil {
-			bb[pc]++
-		}
 		in := &code[pc]
 		op := in.Op
 		switch op {

@@ -30,9 +30,8 @@ long main() {
 // newSpin builds the infinite loop under the given tier with an
 // effectively unbounded step limit. Construction is separate from
 // RunContext so tests start their cancellation clocks after vm.New: the
-// block tier's one-shot profiling pre-run happens at construction and can
-// outlast a tight test deadline under -race, but the watchdog contract
-// being pinned here covers execution, not one-time mining latency.
+// watchdog contract being pinned here covers execution, not one-time
+// lowering and block-formation latency.
 func newSpin(t *testing.T, tier vm.ExecTier) *vm.Machine {
 	t.Helper()
 	prog := compile.MustCompile("spin.c", spinSrc)

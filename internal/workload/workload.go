@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/ir"
-	"repro/internal/vm"
 )
 
 // Kind distinguishes CPU-bound SPEC models from I/O-bound applications.
@@ -57,11 +56,10 @@ func (w *Workload) Prog() *ir.Program {
 }
 
 // Prewarm compiles every registered workload using up to workers
-// concurrent compilers (<= 0 selects one per workload) and warms the
-// block tier's code cache for each program (profiling pre-run plus block
-// formation, both far more expensive than compilation). Experiment
-// runners call it before fanning out cells so no cell pays compile or
-// block-mining latency mid-measurement.
+// concurrent compilers (<= 0 selects one per workload). Experiment
+// runners call it before fanning out cells so no cell pays front-end
+// compile latency mid-measurement; threaded lowering and block formation
+// are single linear passes the first Machine of each program pays.
 func Prewarm(workers int) {
 	ws := All()
 	if workers <= 0 || workers > len(ws) {
@@ -78,7 +76,7 @@ func Prewarm(workers int) {
 		go func() {
 			defer wg.Done()
 			for w := range work {
-				vm.PrewarmBlockTier(w.Prog())
+				w.Prog()
 			}
 		}()
 	}

@@ -1,8 +1,8 @@
 // Differential oracle for the accelerated execution tiers: every workload
 // program plus a batch of generated MiniC snippets runs under each
-// candidate tier (the threaded-code compiled tier and the profile-guided
-// block tier) and the legacy switch interpreter, across all registered
-// layout engine families, and the executions must agree on everything an
+// candidate tier (the threaded-code compiled tier and the block tier)
+// and the legacy switch interpreter, across all registered layout engine
+// families, and the executions must agree on everything an
 // experiment can observe — return value, every Stats counter (Cycles as
 // exact float64 bits), faults (by message, which bakes in function and IR
 // pc), and a digest of final memory. The switch interpreter is the
@@ -41,7 +41,7 @@ var differentialEngines = []string{
 }
 
 // candidateTiers are the accelerated executors checked against the switch
-// oracle. The block tier layers hot-block superinstructions on top of the
+// oracle. The block tier layers block superinstructions on top of the
 // compiled stream, so it exercises both the peephole fusion and the block
 // overlay accounting in one run.
 var candidateTiers = []struct {
