@@ -15,8 +15,8 @@ RACE_TIMEOUT ?= 3600s
 # `make bench-compare` diffs it against BENCH_PREV. Roll both forward when
 # a PR lands a new snapshot; earlier snapshots stay in-tree for cross-PR
 # comparison.
-BENCH_PREV ?= BENCH_4.json
-BENCH_NEXT ?= BENCH_5.json
+BENCH_PREV ?= BENCH_5.json
+BENCH_NEXT ?= BENCH_6.json
 
 .PHONY: ci build fmt vet test race bench bench-compare smokebench invariance smoke perfbench
 
@@ -56,14 +56,17 @@ invariance:
 # canary detection through the flight recorder and audit log; a span-mode
 # fig4 trace must fold through benchjson -tracetree, which exits non-zero
 # on any reconciliation mismatch; and the defense matrix renders
-# end-to-end.
+# end-to-end. The metric and trace files live in a private temporary
+# directory, removed when the recipe exits, so concurrent runs on one host
+# cannot overwrite each other's files.
 smoke:
-	$(GO) run ./cmd/dopbench -faults > /dev/null
-	$(GO) run ./cmd/dopbench -faults -metrics /tmp/smokestack-metrics.json -trace /tmp/smokestack-trace.jsonl > /dev/null
-	$(GO) run ./cmd/benchjson -metrics /tmp/smokestack-metrics.json > /dev/null
-	$(GO) run ./cmd/smokestackd -addr 127.0.0.1:0 -selftest > /dev/null
-	$(GO) run ./cmd/dopbench -exp fig4 -trace /tmp/smokestack-spans.jsonl > /dev/null
-	$(GO) run ./cmd/benchjson -tracetree /tmp/smokestack-spans.jsonl > /dev/null
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/dopbench -faults > /dev/null; \
+	$(GO) run ./cmd/dopbench -faults -metrics "$$dir/metrics.json" -trace "$$dir/trace.jsonl" > /dev/null; \
+	$(GO) run ./cmd/benchjson -metrics "$$dir/metrics.json" > /dev/null; \
+	$(GO) run ./cmd/smokestackd -addr 127.0.0.1:0 -selftest > /dev/null; \
+	$(GO) run ./cmd/dopbench -exp fig4 -trace "$$dir/spans.jsonl" > /dev/null; \
+	$(GO) run ./cmd/benchjson -tracetree "$$dir/spans.jsonl" > /dev/null; \
 	$(GO) run ./cmd/dopbench -exp defenses -engines cleanstack,shadowstack,stackato > /dev/null
 
 # Full benchmark sweep, snapshotted to $(BENCH_NEXT) (see cmd/benchjson).

@@ -32,11 +32,11 @@
 //
 // -tracetree folds a span-trace JSONL file (`dopbench -trace`, or a
 // session trace fetched from smokestackd's flight recorder) into the
-// per-session span tree — session → cell → attempt → run, each run
-// carrying its exact cycle-attribution rows — and verifies that every
-// run span's rows sum to its recorded total exactly before printing the
-// tree with per-cell and per-tree cycle totals. A trace that fails
-// reconciliation exits 1:
+// per-session span tree — trace root → cell → run, each run carrying
+// its exact cycle-attribution rows — and verifies that every run span's
+// rows sum to its recorded total exactly before printing the tree with
+// per-cell and per-tree cycle totals. A trace that fails reconciliation
+// exits 1:
 //
 //	go run ./cmd/benchjson -tracetree trace.jsonl
 package main
@@ -400,8 +400,8 @@ func renderMetrics(w *os.File, path string) error {
 	}
 	const topRows = 12
 	for _, c := range snap.Cells {
-		fmt.Fprintf(w, "\ncell %s  total_cycles=%.6f  wall=%.3fs  attempts=%d\n",
-			c.Name, c.TotalCycles, c.WallSeconds, c.Attempts)
+		fmt.Fprintf(w, "\ncell %s  total_cycles=%.6f  wall=%.3fs\n",
+			c.Name, c.TotalCycles, c.WallSeconds)
 		rows := append([]telemetry.Row(nil), c.Rows...)
 		sort.Slice(rows, func(i, j int) bool { return rows[i].Cycles > rows[j].Cycles })
 		for i, r := range rows {

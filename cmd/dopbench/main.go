@@ -3,7 +3,7 @@
 // Usage:
 //
 //	dopbench -exp fig3|fig4|table1|pentest|bypass|cve|ablation-rng|ablation-pbox|entropy|faults|defenses|all
-//	         [-engines a,b,c] [-faults] [-seed N] [-jitter] [-parallel N] [-retries N] [-json]
+//	         [-engines a,b,c] [-faults] [-seed N] [-jitter] [-parallel N] [-json]
 //	         [-exec switch|block] [-metrics FILE] [-trace FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -28,8 +28,9 @@
 // sweep. Cells that fail *because of the injected schedule* carry a
 // classified error ("injected"); those are reported as warnings and do not
 // fail the run — the exit code is 1 only for unclassified (genuine)
-// failures, so a partial sweep still exits 0. -retries grants transient
-// failures bounded retries with capped backoff.
+// failures, so a partial sweep still exits 0. Each cell runs once: its
+// fault schedule derives from the cell seed, so a rerun would replay the
+// same faults.
 //
 // -metrics FILE enables the telemetry registry and writes a JSON metric
 // snapshot — counters, cache gauges, runner histograms, and per-cell
@@ -73,7 +74,6 @@ func run() int {
 	seed := flag.Uint64("seed", 42, "seed for all deterministic random streams")
 	jitter := flag.Bool("jitter", true, "enable the instruction-scheduling perturbation model in fig3")
 	parallel := flag.Int("parallel", 0, "worker pool size for experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	retries := flag.Int("retries", 0, "extra attempts for cells failing with transient errors (capped backoff between attempts)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON records (one per line) instead of tables")
 	execTier := flag.String("exec", "", "executor tier for every VM run: switch or block (default: $SMOKESTACK_EXEC, else block)")
 	metricsFile := flag.String("metrics", "", "write a JSON metric snapshot to this file (and a Prometheus exposition to FILE.prom)")
@@ -125,7 +125,7 @@ func run() int {
 		os.Setenv("SMOKESTACK_EXEC", *execTier)
 	}
 
-	cfg := harness.Config{Seed: *seed, Jitter: *jitter, Out: os.Stdout, Parallel: *parallel, Retries: *retries}
+	cfg := harness.Config{Seed: *seed, Jitter: *jitter, Out: os.Stdout, Parallel: *parallel}
 
 	if *engines != "" {
 		for _, name := range strings.Split(*engines, ",") {

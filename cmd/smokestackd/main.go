@@ -37,7 +37,7 @@
 // submit → stream → drain cycle against it — including a traced session
 // whose canary detection is verified through the flight recorder, the
 // folded span trace and the audit log, with a dormant twin checked
-// byte-identical — and exits. The CI smoke and obsv gates run it.
+// byte-identical — and exits. `make smoke` runs it.
 package main
 
 import (
@@ -74,7 +74,6 @@ func main() {
 	deadline := flag.Duration("deadline", 30*time.Second, "default session deadline")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "ceiling for requested deadlines")
 	drainGrace := flag.Duration("drain-grace", 15*time.Second, "drain grace before hard-cancelling sessions")
-	retries := flag.Int("retries", 0, "per-cell transient retry budget")
 	auditPath := flag.String("audit", "", "append security audit events (JSONL) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	verbose := flag.Bool("v", false, "log sessions to stderr")
@@ -122,7 +121,6 @@ func main() {
 			DefaultDeadline: *deadline,
 			MaxDeadline:     *maxDeadline,
 		},
-		Retries: *retries,
 		Metrics: reg,
 		Audit:   audit,
 		Log:     logger,
@@ -290,12 +288,13 @@ func runSelftest(addr string, srv *server.Server, httpSrv *http.Server, grace ti
 	return nil
 }
 
-// observabilityCycle is the obsv end-to-end: a traced session whose
-// canary-engine detection must be observable through (a) its flight
-// record, (b) its folded span trace — with span cycle sums reconciling
-// against the flight record's exact TotalCycles — and (c) the audit log
-// with matching tenant/engine/trace, while a dormant run of the same spec
-// streams byte-identical NDJSON records.
+// observabilityCycle is the observability end-to-end `make smoke` runs
+// through -selftest: a traced session whose canary-engine detection must
+// be observable through (a) its flight record, (b) its folded span trace
+// — with span cycle sums reconciling against the flight record's exact
+// TotalCycles — and (c) the audit log with matching tenant/engine/trace,
+// while a dormant run of the same spec streams byte-identical NDJSON
+// records.
 func observabilityCycle(client *http.Client, base string, audit *telemetry.AuditSink, auditPath string) error {
 	spec, _ := json.Marshal(map[string]any{
 		"tenant": "selftest", "program": smashSrc, "engines": []string{"stackato"}, "seed": 11,

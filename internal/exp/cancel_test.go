@@ -37,7 +37,7 @@ func TestRunnerCtxCancelBetweenCells(t *testing.T) {
 	}
 	var ends atomic.Int64
 	r := &Runner{Workers: 1, Ctx: ctx, Hooks: Hooks{
-		CellEnd: func(c Cell, recs []Record, _ time.Duration, attempts int) {
+		CellEnd: func(c Cell, recs []Record, _ time.Duration, _ int) {
 			ends.Add(1)
 		},
 	}}

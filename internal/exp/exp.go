@@ -47,9 +47,6 @@ type Record struct {
 	// report their class here so tooling can separate expected degradation
 	// from genuine failures.
 	ErrClass string `json:"err_class,omitempty"`
-	// Attempts counts how many times the cell ran (0 on records from cells
-	// that never needed a retry; >= 2 after transient-fault retries).
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // Value returns the named value (0 when absent).
@@ -80,41 +77,17 @@ func Classify(err error) string {
 	return ""
 }
 
-// IsTransient reports whether any error in the chain declares itself
-// transient (Transient() bool) — a retry under the same cell may succeed.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	if errors.As(err, &t) {
-		return t.Transient()
-	}
-	return false
-}
-
 // Runner executes cells on a bounded worker pool.
 type Runner struct {
 	// Workers bounds concurrent cells; <= 0 selects GOMAXPROCS, 1 is
 	// strictly serial.
 	Workers int
-	// Retries is the number of extra attempts a cell gets when it fails
-	// with a transient error (IsTransient). 0 disables retries. Panics and
-	// non-transient errors never retry.
-	Retries int
-	// Backoff is the sleep before the first retry; it doubles per retry up
-	// to BackoffCap. Zero means no sleep between attempts.
-	Backoff    time.Duration
-	BackoffCap time.Duration
-	// Sleep overrides the between-attempt wait (tests use a recorder).
-	// When set it is called instead of the context-aware timer wait, so a
-	// recorder sees exactly the durations the default path would sleep.
-	Sleep func(time.Duration)
-	// Ctx, when non-nil, cancels retry waits and cell scheduling: a cell
-	// sleeping between attempts wakes immediately on cancellation and emits
-	// its error record instead of retrying, and cells that have not started
-	// yet settle with a classified "canceled" record instead of running at
-	// all — a cancelled grid stops at the next cell boundary rather than
-	// running every remaining cell to completion. Already-running cell
-	// bodies are not interrupted — cancellation is the cell body's own
-	// concern (e.g. via a watchdog).
+	// Ctx, when non-nil, cancels cell scheduling: cells that have not
+	// started yet settle with a classified "canceled" record instead of
+	// running at all — a cancelled grid stops at the next cell boundary
+	// rather than running every remaining cell to completion. Already-
+	// running cell bodies are not interrupted — cancellation is the cell
+	// body's own concern (e.g. via a watchdog).
 	Ctx context.Context
 	// Hooks observe cell lifecycle (all optional; see Hooks).
 	Hooks Hooks
@@ -126,24 +99,15 @@ type Runner struct {
 // Hooks may be called concurrently from multiple workers and must be
 // safe for that; nil fields are skipped.
 type Hooks struct {
-	// CellStart fires immediately before a cell's first attempt.
+	// CellStart fires immediately before a cell's body runs.
 	CellStart func(c Cell)
-	// CellAttempt fires immediately before every attempt (including the
-	// first, after CellStart) with the 1-based attempt number about to
-	// run. Observation layers use it to scope per-attempt context (span
-	// IDs) without changing the Cell.Run signature.
-	CellAttempt func(c Cell, attempt int)
-	// CellRetry fires after a transient failure, before the backoff wait,
-	// with the attempt number that just failed and the wait about to begin.
-	CellRetry func(c Cell, attempt int, err error, wait time.Duration)
-	// CellEnd fires after the cell settles (success, terminal failure,
-	// cancelled retry wait, or skipped because the Runner's Ctx was already
-	// cancelled) with its records, total wall time across all attempts, and
-	// the number of attempts made (0 for skipped cells, whose CellStart
-	// never fires). The streaming service relies on CellEnd firing for
-	// every cell, settled or skipped, so a drained session still delivers
-	// its full record set.
-	CellEnd func(c Cell, recs []Record, wall time.Duration, attempts int)
+	// CellEnd fires after the cell settles (success, failure, or skipped
+	// because the Runner's Ctx was already cancelled) with its records, its
+	// wall time, and ran: 1 for a cell whose body ran, 0 for a skipped
+	// cell, whose CellStart never fires. The streaming service relies on
+	// CellEnd firing for every cell, settled or skipped, so a drained
+	// session still delivers its full record set.
+	CellEnd func(c Cell, recs []Record, wall time.Duration, ran int)
 }
 
 // workers resolves the effective pool size for n cells.
@@ -163,10 +127,12 @@ func (r *Runner) workers(n int) int {
 
 // Run executes every cell and returns the records flattened in cell
 // order — the order is a function of the input alone, never of
-// scheduling. A cell that returns an error (or panics) keeps whatever
-// records it produced before failing and contributes one additional Record
-// carrying its identity, the failure and its classification; the other
-// cells still run. Transient failures retry per the Runner's policy.
+// scheduling. Each cell runs once: its randomness, fault schedules
+// included, derives from its seed, so a rerun would fail the same way. A
+// cell that returns an error (or panics) keeps whatever records it
+// produced before failing and contributes one additional Record carrying
+// its identity, the failure and its classification; the other cells still
+// run.
 //
 // When the Runner's Ctx is cancelled, cells that have not started yet do
 // not run: each settles immediately with one record classified "canceled"
@@ -233,7 +199,7 @@ func (e *CanceledError) ErrorClass() string { return "canceled" }
 
 // skipCanceled settles a cell that never started because the Runner's Ctx
 // was already cancelled: one classified record, no CellStart (the cell
-// never ran), CellEnd with zero attempts.
+// never ran), CellEnd with ran = 0.
 func (r *Runner) skipCanceled(c Cell) []Record {
 	err := &CanceledError{Err: context.Cause(r.Ctx)}
 	recs := []Record{{Experiment: c.Experiment, Cell: c.Name,
@@ -253,93 +219,25 @@ func (e *panicError) ErrorClass() string { return "panic" }
 // runCell executes one cell, converting errors and panics into an error
 // record so one bad cell cannot take down the figure. Records produced
 // before a failure are kept as partial results, with the error record
-// appended. Failures that declare themselves transient retry up to Retries
-// extra attempts, waiting Backoff (doubling, capped at BackoffCap) between
-// attempts; the wait aborts promptly when Ctx is cancelled, in which case
-// the cell settles with its last error instead of retrying.
+// appended.
 func (r *Runner) runCell(c Cell) []Record {
-	var retries int
-	var backoff, backoffCap time.Duration
 	var hooks Hooks
-	ctx := context.Context(nil)
-	sleep := func(d time.Duration) bool { return sleepCtx(ctx, d) }
 	if r != nil {
-		retries = r.Retries
-		backoff, backoffCap = r.Backoff, r.BackoffCap
-		ctx = r.Ctx
 		hooks = r.Hooks
-		if r.Sleep != nil {
-			s := r.Sleep
-			sleep = func(d time.Duration) bool { s(d); return true }
-		}
 	}
 	if hooks.CellStart != nil {
 		hooks.CellStart(c)
 	}
 	start := time.Now()
-	finish := func(recs []Record, attempts int) []Record {
-		if hooks.CellEnd != nil {
-			hooks.CellEnd(c, recs, time.Since(start), attempts)
-		}
-		return recs
+	recs, err := runCellOnce(c)
+	if err != nil {
+		recs = append(recs, Record{Experiment: c.Experiment, Cell: c.Name,
+			Err: err.Error(), ErrClass: Classify(err)})
 	}
-	attempt := 0
-	for {
-		attempt++
-		if hooks.CellAttempt != nil {
-			hooks.CellAttempt(c, attempt)
-		}
-		recs, err := runCellOnce(c)
-		if err == nil {
-			if attempt > 1 {
-				for i := range recs {
-					recs[i].Attempts = attempt
-				}
-			}
-			return finish(recs, attempt)
-		}
-		if attempt <= retries && IsTransient(err) && (ctx == nil || ctx.Err() == nil) {
-			if hooks.CellRetry != nil {
-				hooks.CellRetry(c, attempt, err, backoff)
-			}
-			ok := true
-			if backoff > 0 {
-				ok = sleep(backoff)
-				backoff *= 2
-				if backoffCap > 0 && backoff > backoffCap {
-					backoff = backoffCap
-				}
-			}
-			if ok {
-				continue
-			}
-		}
-		rec := Record{Experiment: c.Experiment, Cell: c.Name,
-			Err: err.Error(), ErrClass: Classify(err)}
-		if attempt > 1 {
-			rec.Attempts = attempt
-		}
-		return finish(append(recs, rec), attempt)
+	if hooks.CellEnd != nil {
+		hooks.CellEnd(c, recs, time.Since(start), 1)
 	}
-}
-
-// sleepCtx waits for d or until ctx (which may be nil) is cancelled,
-// reporting whether the full wait elapsed. Cancellation wakes the caller
-// immediately — a worker never sits out the rest of a backoff on a run
-// that has already been abandoned.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if ctx == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return recs
 }
 
 // runCellOnce runs the cell body once with panic recovery; partial records

@@ -8,88 +8,39 @@ import (
 	"time"
 )
 
-// transientErr is a minimal classified, transient error (the shape the
-// faultinject package produces).
-type transientErr struct{ msg string }
+// classifiedErr is a minimal classified error (the shape the faultinject
+// package produces).
+type classifiedErr struct{ msg string }
 
-func (e *transientErr) Error() string      { return e.msg }
-func (e *transientErr) ErrorClass() string { return "injected" }
-func (e *transientErr) Transient() bool    { return true }
+func (e *classifiedErr) Error() string      { return e.msg }
+func (e *classifiedErr) ErrorClass() string { return "injected" }
 
-func TestClassifyAndIsTransient(t *testing.T) {
-	base := &transientErr{msg: "boom"}
-	wrapped := fmt.Errorf("cell: %w", base)
+// TestClassifyWrappedErrors pins error classification along the error
+// chain: a wrapped classified error keeps its class, a plain one has none.
+func TestClassifyWrappedErrors(t *testing.T) {
+	wrapped := fmt.Errorf("cell: %w", &classifiedErr{msg: "boom"})
 	if Classify(wrapped) != "injected" {
 		t.Fatalf("Classify = %q", Classify(wrapped))
 	}
-	if !IsTransient(wrapped) {
-		t.Fatal("wrapped transient error must stay transient")
-	}
-	if Classify(errors.New("plain")) != "" || IsTransient(errors.New("plain")) {
-		t.Fatal("plain errors are unclassified and permanent")
+	if Classify(errors.New("plain")) != "" {
+		t.Fatal("plain errors are unclassified")
 	}
 }
 
-func TestRetryTransientWithBackoff(t *testing.T) {
-	var slept []time.Duration
-	fails := 3
-	r := &Runner{
-		Workers: 1, Retries: 5,
-		Backoff: 10 * time.Millisecond, BackoffCap: 15 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	attempts := 0
+// TestFailedCellKeepsClassification pins that a cell failing with a
+// classified error runs once and yields a single classified record that
+// Errors reports but UnclassifiedErrors does not.
+func TestFailedCellKeepsClassification(t *testing.T) {
+	r := &Runner{Workers: 1}
+	runs := 0
 	recs := r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-		attempts++
-		if attempts <= fails {
-			return nil, &transientErr{msg: "brownout"}
-		}
-		return []Record{{Experiment: "e", Cell: "c", Values: map[string]float64{"v": 1}}}, nil
+		runs++
+		return nil, &classifiedErr{msg: "still down"}
 	}}})
-	if attempts != 4 {
-		t.Fatalf("ran %d attempts, want 4", attempts)
+	if runs != 1 {
+		t.Fatalf("failing cell body ran %d times, want 1", runs)
 	}
-	if len(recs) != 1 || recs[0].Err != "" || recs[0].Attempts != 4 {
-		t.Fatalf("records %+v", recs)
-	}
-	// Backoff doubles then caps: 10ms, 15ms, 15ms.
-	want := []time.Duration{10 * time.Millisecond, 15 * time.Millisecond, 15 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("slept %v, want %v", slept, want)
-		}
-	}
-}
-
-func TestNoRetryForPermanentErrors(t *testing.T) {
-	r := &Runner{Workers: 1, Retries: 5}
-	attempts := 0
-	recs := r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-		attempts++
-		return nil, errors.New("genuine bug")
-	}}})
-	if attempts != 1 {
-		t.Fatalf("permanent error retried (%d attempts)", attempts)
-	}
-	if len(recs) != 1 || recs[0].Err != "genuine bug" || recs[0].ErrClass != "" {
-		t.Fatalf("records %+v", recs)
-	}
-}
-
-func TestRetriesExhaustedKeepsClassification(t *testing.T) {
-	r := &Runner{Workers: 1, Retries: 2}
-	attempts := 0
-	recs := r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-		attempts++
-		return nil, &transientErr{msg: "still down"}
-	}}})
-	if attempts != 3 {
-		t.Fatalf("%d attempts, want 3 (1 + 2 retries)", attempts)
-	}
-	if len(recs) != 1 || recs[0].ErrClass != "injected" || recs[0].Attempts != 3 {
+	if len(recs) != 1 || recs[0].ErrClass != "injected" {
 		t.Fatalf("records %+v", recs)
 	}
 	if UnclassifiedErrors(recs) != nil {
@@ -97,6 +48,23 @@ func TestRetriesExhaustedKeepsClassification(t *testing.T) {
 	}
 	if Errors(recs) == nil {
 		t.Fatal("Errors must still report the classified failure")
+	}
+}
+
+// TestNoRetryForPermanentErrors pins that a failing cell body runs once and
+// yields one unclassified error record.
+func TestNoRetryForPermanentErrors(t *testing.T) {
+	r := &Runner{Workers: 1}
+	runs := 0
+	recs := r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
+		runs++
+		return nil, errors.New("genuine bug")
+	}}})
+	if runs != 1 {
+		t.Fatalf("failing cell body ran %d times, want 1", runs)
+	}
+	if len(recs) != 1 || recs[0].Err != "genuine bug" || recs[0].ErrClass != "" {
+		t.Fatalf("records %+v", recs)
 	}
 }
 
@@ -118,14 +86,14 @@ func TestPartialRecordsKeptOnFailure(t *testing.T) {
 }
 
 func TestPanicClassified(t *testing.T) {
-	r := &Runner{Workers: 1, Retries: 3}
-	attempts := 0
+	r := &Runner{Workers: 1}
+	runs := 0
 	recs := r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-		attempts++
+		runs++
 		panic("wedged")
 	}}})
-	if attempts != 1 {
-		t.Fatalf("panics must not retry (%d attempts)", attempts)
+	if runs != 1 {
+		t.Fatalf("panicking cell body ran %d times, want 1", runs)
 	}
 	if len(recs) != 1 || recs[0].Err != "panic: wedged" || recs[0].ErrClass != "panic" {
 		t.Fatalf("records %+v", recs)
@@ -147,117 +115,45 @@ func TestUnclassifiedErrorsMixed(t *testing.T) {
 	}
 }
 
-// TestBackoffAbortsOnCancel pins the context-aware wait: a worker sleeping
-// out a retry backoff wakes immediately when the runner's context is
-// cancelled and settles the cell with its last error instead of retrying.
-func TestBackoffAbortsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Runner{
-		Workers: 1, Retries: 3,
-		Backoff: 10 * time.Second, // would block the worker for seconds if the wait ignored ctx
-		Ctx:     ctx,
-	}
-	attempts := 0
-	done := make(chan []Record, 1)
-	start := time.Now()
-	go func() {
-		done <- r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-			attempts++
-			return nil, &transientErr{msg: "brownout"}
-		}}})
-	}()
-	time.Sleep(20 * time.Millisecond) // let the worker enter the backoff wait
-	cancel()
-	select {
-	case recs := <-done:
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("cancellation took %v; the wait ignored the context", elapsed)
-		}
-		if attempts != 1 {
-			t.Fatalf("%d attempts after cancel, want 1", attempts)
-		}
-		if len(recs) != 1 || recs[0].ErrClass != "injected" {
-			t.Fatalf("records %+v", recs)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("runner still blocked in backoff 5s after cancellation")
-	}
-}
-
-// TestCancelledContextSkipsRetries pins that a context cancelled during a
-// cell's first attempt prevents further attempts outright (no wait at
-// all): the retry decision observes the dead context.
-func TestCancelledContextSkipsRetries(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Runner{Workers: 1, Retries: 5, Backoff: time.Hour, Ctx: ctx}
-	attempts := 0
-	recs := r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-		attempts++
-		cancel() // dies mid-attempt; the retry decision must see it
-		return nil, &transientErr{msg: "down"}
-	}}})
-	if attempts != 1 {
-		t.Fatalf("%d attempts under a dead context, want 1", attempts)
-	}
-	if len(recs) != 1 || recs[0].Err == "" {
-		t.Fatalf("records %+v", recs)
-	}
-}
-
 // TestPreCancelledContextSkipsCells pins the between-cell contract: a
 // context already dead before Run means no cell body executes at all —
 // every cell settles with a classified "canceled" record.
 func TestPreCancelledContextSkipsCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := &Runner{Workers: 1, Retries: 5, Backoff: time.Hour, Ctx: ctx}
-	attempts := 0
+	r := &Runner{Workers: 1, Ctx: ctx}
+	runs := 0
 	recs := r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-		attempts++
-		return nil, &transientErr{msg: "down"}
+		runs++
+		return nil, &classifiedErr{msg: "down"}
 	}}})
-	if attempts != 0 {
-		t.Fatalf("%d attempts under a pre-dead context, want 0", attempts)
+	if runs != 0 {
+		t.Fatalf("cell body ran %d times under a pre-dead context, want 0", runs)
 	}
 	if len(recs) != 1 || recs[0].ErrClass != "canceled" {
 		t.Fatalf("records %+v, want one canceled record", recs)
 	}
 }
 
-// TestHooksFireInOrder pins the lifecycle hook contract: start, one retry
-// per transient failure (with the wait about to begin), then end with the
-// total attempts and the cell's records.
+// TestHooksFireInOrder pins the lifecycle hook contract: start, then end
+// with ran = 1 and the cell's records, error record included; a cell shed
+// under a dead context fires only end, with ran = 0.
 func TestHooksFireInOrder(t *testing.T) {
 	var events []string
-	r := &Runner{
-		Workers: 1, Retries: 2,
-		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
-		Hooks: Hooks{
-			CellStart: func(c Cell) { events = append(events, "start:"+c.Name) },
-			CellAttempt: func(c Cell, attempt int) {
-				events = append(events, fmt.Sprintf("attempt:%s:%d", c.Name, attempt))
-			},
-			CellRetry: func(c Cell, attempt int, err error, wait time.Duration) {
-				events = append(events, fmt.Sprintf("retry:%s:%d", c.Name, attempt))
-			},
-			CellEnd: func(c Cell, recs []Record, wall time.Duration, attempts int) {
-				events = append(events, fmt.Sprintf("end:%s:%d:%d", c.Name, attempts, len(recs)))
-			},
+	hooks := Hooks{
+		CellStart: func(c Cell) { events = append(events, "start:"+c.Name) },
+		CellEnd: func(c Cell, recs []Record, wall time.Duration, ran int) {
+			events = append(events, fmt.Sprintf("end:%s:%d:%d", c.Name, ran, len(recs)))
 		},
 	}
-	attempts := 0
-	r.Run([]Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
-		attempts++
-		if attempts < 3 {
-			return nil, &transientErr{msg: "flaky"}
-		}
-		return []Record{{Experiment: "e", Cell: "c"}}, nil
-	}}})
-	want := []string{
-		"start:c", "attempt:c:1", "retry:c:1", "attempt:c:2",
-		"retry:c:2", "attempt:c:3", "end:c:3:1",
-	}
+	cells := []Cell{{Experiment: "e", Name: "c", Run: func() ([]Record, error) {
+		return []Record{{Experiment: "e", Cell: "c"}}, &classifiedErr{msg: "flaky"}
+	}}}
+	(&Runner{Workers: 1, Hooks: hooks}).Run(cells)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	(&Runner{Workers: 1, Ctx: ctx, Hooks: hooks}).Run(cells)
+	want := []string{"start:c", "end:c:1:2", "end:c:0:1"}
 	if fmt.Sprint(events) != fmt.Sprint(want) {
 		t.Fatalf("events %v, want %v", events, want)
 	}

@@ -83,14 +83,10 @@ func (e *HostFault) Error() string {
 // record classification.
 func (e *HostFault) ErrorClass() string { return "injected" }
 
-// Transient marks the fault as retryable: a rerun under a different seed
-// (or none) can succeed.
-func (e *HostFault) Transient() bool { return true }
-
 // InjectedError marks any error as caused by deliberate fault injection.
 // The experiment harness wraps run errors from injected cells in it so
-// their records classify as "injected" (expected, transient) rather than
-// genuine failures.
+// their records classify as "injected" (expected) rather than genuine
+// failures.
 type InjectedError struct {
 	Err error
 }
@@ -98,7 +94,6 @@ type InjectedError struct {
 func (e *InjectedError) Error() string      { return "injected fault: " + e.Err.Error() }
 func (e *InjectedError) Unwrap() error      { return e.Err }
 func (e *InjectedError) ErrorClass() string { return "injected" }
-func (e *InjectedError) Transient() bool    { return true }
 
 // Stats counts what an Injector actually did.
 type Stats struct {

@@ -142,15 +142,11 @@ func TestHostHookSchedules(t *testing.T) {
 
 func TestErrorClassification(t *testing.T) {
 	var classed interface{ ErrorClass() string }
-	var trans interface{ Transient() bool }
 	hf := &HostFault{Name: "input", Index: 3}
 	if !errors.As(error(hf), &classed) || classed.ErrorClass() != "injected" {
 		t.Fatal("HostFault must classify as injected")
 	}
 	ie := &InjectedError{Err: errors.New("boom")}
-	if !errors.As(error(ie), &trans) || !trans.Transient() {
-		t.Fatal("InjectedError must be transient")
-	}
 	if !errors.As(error(ie), &classed) || classed.ErrorClass() != "injected" {
 		t.Fatal("InjectedError must classify as injected")
 	}

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/exp"
 	"repro/internal/ir"
@@ -48,12 +47,6 @@ type Config struct {
 	// must be registered (see EngineNames); nil keeps the historical
 	// lineups, so recorded goldens are unaffected.
 	Engines []string
-	// Retries grants each cell extra attempts when it fails with a
-	// transient (e.g. injected) error, with capped exponential backoff
-	// between attempts. 0 disables. Deterministically seeded cells fail
-	// identically on retry, so this matters only for cells with genuinely
-	// transient dependencies (host entropy, I/O).
-	Retries int
 	// Metrics, when non-nil, collects counters, gauges, histograms and
 	// per-cell cycle-attribution profiles (telemetry.Registry snapshot).
 	// Nil keeps every hot path dormant: results are bit-identical.
@@ -63,26 +56,27 @@ type Config struct {
 	// watchdog cancellations, rng degradation-ladder transitions).
 	Trace *telemetry.Tracer
 	// TraceID, when set alongside Trace, switches the trace into span
-	// mode: events carry trace/span/parent IDs forming a session → cell →
-	// attempt → run tree (telemetry.FoldTrace), and run.end events carry
+	// mode: events carry trace/span/parent IDs forming a trace root → cell
+	// → run tree (telemetry.FoldTrace), and run.end events carry
 	// the run's exact cycle-attribution rows. Empty keeps the flat trace
 	// byte-identical to earlier versions.
 	TraceID string
 	// Tenant labels security audit events with the submitting tenant (the
 	// service sets it per session; offline runs leave it empty).
 	Tenant string
-	// CellDone, when non-nil, receives each cell attempt's accumulated
+	// CellDone, when non-nil, receives each cell's accumulated
 	// cycle-attribution rows, fused counters and RNG health once the
-	// attempt's last machine has finished — per-session capture for the
+	// cell's last machine has finished — per-session capture for the
 	// flight recorder, independent of the shared Metrics registry. Fires
-	// once per attempt; callers accumulate across attempts.
+	// once per cell that runs.
 	CellDone func(cell string, rows []telemetry.Row, counters, rngHealth map[string]uint64)
 	// Audit, when non-nil, receives a structured security event for every
 	// defense detection (canary, shadow-stack or guard violation) raised
 	// by a session cell. Nil is dormant.
 	Audit *telemetry.AuditSink
-	// Ctx, when non-nil, cancels retry backoff waits promptly (the cells
-	// themselves are supervised separately, by VM watchdogs).
+	// Ctx, when non-nil, sheds cells that have not started once it is
+	// cancelled (exp.Runner.Ctx); running cells are supervised separately,
+	// by VM watchdogs.
 	Ctx context.Context
 	// NoPool disables the shared Machine pool: every run constructs a
 	// fresh Machine instead of recycling one via Reset. Pooled and
@@ -108,13 +102,7 @@ func (c Config) out() io.Writer {
 }
 
 func (c Config) runner() *exp.Runner {
-	return &exp.Runner{
-		Workers: c.Parallel,
-		Retries: c.Retries,
-		Backoff: 10 * time.Millisecond, BackoffCap: 160 * time.Millisecond,
-		Ctx:   c.Ctx,
-		Hooks: c.hooks(),
-	}
+	return &exp.Runner{Workers: c.Parallel, Ctx: c.Ctx, Hooks: c.hooks()}
 }
 
 // Schemes lists the four Smokestack RNG variants in Fig 3 order.
@@ -214,9 +202,8 @@ func BuildCacheStats() (planHits, planMisses, tableHits, tableMisses int) {
 //
 // The machine comes from the shared pool (unless cfg.NoPool); the caller
 // owns releasing it via cfg.release once its stats are read. Error paths
-// release here — which is also how the runner's transient-retry path
-// reuses the cell's Machine: the failed attempt's Put makes the retry's
-// Get pop the same Machine and Reset it instead of rebuilding.
+// release here, so a failed run's Machine serves the next Get of the same
+// shape through Reset instead of a rebuild.
 func runOnce(cfg Config, w *workload.Workload, eng layout.Engine, seed uint64, jitterAmp float64, o *obs) (*vm.Machine, error) {
 	opts := &vm.Options{
 		TRNG:       rng.SeededTRNG(seed),

@@ -7,16 +7,16 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunOnceRetryReusesMachine pins the runner's transient-retry fast
-// path: a failed runOnce returns its Machine to the shared pool, so the
-// retry's Get pops the same Machine and Resets it instead of rebuilding.
-func TestRunOnceRetryReusesMachine(t *testing.T) {
+// TestFailedRunOnceReleasesMachine pins runOnce's release on failure: a
+// failed run returns its Machine to the shared pool, so the next Get of
+// the same shape pops that Machine and Resets it instead of rebuilding.
+func TestFailedRunOnceReleasesMachine(t *testing.T) {
 	cfg := Config{}
 
-	// A workload whose checksum never matches: every attempt fails the way
-	// a transiently-poisoned cell would, after a full (state-dirtying) run.
+	// A workload whose checksum never matches: every run fails after a
+	// full (state-dirtying) execution.
 	bad := &workload.Workload{
-		Name:   "retry-probe",
+		Name:   "fail-probe",
 		Source: "int g; int main() { g = 7; return g; }",
 		Want:   999,
 	}
@@ -26,20 +26,20 @@ func TestRunOnceRetryReusesMachine(t *testing.T) {
 	}
 	s1 := machinePool.Stats()
 	if s1.Misses != s0.Misses+1 || s1.Puts != s0.Puts+1 {
-		t.Fatalf("failed attempt: misses %d->%d puts %d->%d; want one miss, one put",
+		t.Fatalf("failed run: misses %d->%d puts %d->%d; want one miss, one put",
 			s0.Misses, s1.Misses, s0.Puts, s1.Puts)
 	}
-	// The retry: same cell, second attempt. Served by Reset, not New.
+	// The next run of the same shape is served by Reset, not New.
 	if _, err := runOnce(cfg, bad, layout.NewFixed(), 1, 0, nil); err == nil {
-		t.Fatal("checksum mismatch did not fail on retry")
+		t.Fatal("checksum mismatch did not fail on the second run")
 	}
 	s2 := machinePool.Stats()
 	if s2.Hits != s1.Hits+1 || s2.Misses != s1.Misses {
-		t.Fatalf("retry: hits %d->%d misses %d->%d; want one hit, no miss",
+		t.Fatalf("second run: hits %d->%d misses %d->%d; want one hit, no miss",
 			s1.Hits, s2.Hits, s1.Misses, s2.Misses)
 	}
 	if s2.RestoredBytes <= s1.RestoredBytes {
-		t.Fatal("retry reset restored no bytes despite a dirty global")
+		t.Fatal("reset restored no bytes despite a dirty global")
 	}
 
 	// Success path: the caller releases, and the next run of the same

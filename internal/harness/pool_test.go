@@ -19,8 +19,18 @@ import (
 // must produce byte-identical records and JSON. The three experiments
 // cover all three machine-acquisition paths — runOnce (fig3, with jitter),
 // faultsRun (injected TRNG/host faults), and attack Deployments
-// (ablation-rng's prediction scenarios).
+// (ablation-rng's prediction scenarios). The faults grid also runs a
+// second pooled pass: it reruns every injected failure on Machines the
+// first pass put back, the replay a retry would make, and must match the
+// first pass byte for byte, because each cell seeds its fault schedule.
 func TestPooledMatchesUnpooled(t *testing.T) {
+	encode := func(recs []exp.Record) []byte {
+		var buf bytes.Buffer
+		if err := exp.WriteJSON(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for _, name := range []string{"fig3", "faults", "ablation-rng"} {
 		pooled, err := harness.Run(harness.Config{Seed: 42, Jitter: true, Parallel: 4}, name)
 		if err != nil {
@@ -33,15 +43,21 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 		if !reflect.DeepEqual(pooled, fresh) {
 			t.Fatalf("%s: pooled records differ from unpooled", name)
 		}
-		var pJSON, fJSON bytes.Buffer
-		if err := exp.WriteJSON(&pJSON, pooled); err != nil {
-			t.Fatal(err)
-		}
-		if err := exp.WriteJSON(&fJSON, fresh); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pJSON.Bytes(), fJSON.Bytes()) {
+		if !bytes.Equal(encode(pooled), encode(fresh)) {
 			t.Fatalf("%s: pooled JSON differs from unpooled", name)
+		}
+		if name != "faults" {
+			continue
+		}
+		again, err := harness.Run(harness.Config{Seed: 42, Jitter: true, Parallel: 4}, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp.UnclassifiedErrors(again) != nil || exp.Errors(again) == nil {
+			t.Fatalf("faults: second pass lost its injected failures: %v", exp.Errors(again))
+		}
+		if !bytes.Equal(encode(pooled), encode(again)) {
+			t.Fatal("faults: second pooled pass differs from the first")
 		}
 	}
 }

@@ -326,11 +326,10 @@ func sessionCell(cfg Config, spec SessionSpec, p *sessionProg, engine string, ru
 	return []exp.Record{rec}, nil
 }
 
-// NewRunner exposes the experiment runner the figures use (same retry
-// policy and backoff shape) so the service executes sessions through the
-// exact Runner configuration the offline path uses — the byte-identity
-// guarantee between the two is a differential over this shared
-// construction.
+// NewRunner exposes the experiment runner the figures use so the service
+// executes sessions through the exact Runner configuration the offline
+// path uses — the byte-identity guarantee between the two is a
+// differential over this shared construction.
 func (c Config) NewRunner() *exp.Runner { return c.runner() }
 
 // RunSession is the offline reference path: the same cells the server

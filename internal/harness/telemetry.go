@@ -4,26 +4,22 @@
 // *vm.Profile pointers, nil exp.Hooks and no gauges registered — so goldens
 // and the invariance suite see bit-identical results.
 //
-// Threading model: one obs per experiment-cell attempt. The obs owns the
-// cell's *vm.Profile (shared by every Machine the cell constructs, which
-// run sequentially within the cell), mirrors fault-injector firings and
-// rng degradation-ladder transitions into the trace, and folds the
-// accumulated profile into the Registry cell when the attempt finishes.
+// Threading model: one obs per experiment cell. The obs owns the cell's
+// *vm.Profile (shared by every Machine the cell constructs, which run
+// sequentially within the cell), mirrors fault-injector firings and rng
+// degradation-ladder transitions into the trace, and folds the accumulated
+// profile into the Registry cell when the cell finishes.
 //
 // Span mode (Config.TraceID set alongside Trace) threads a deterministic
-// span hierarchy through the same paths: session → cell → attempt → run.
-// Span IDs hash the path from the trace root, so the runner hooks and the
-// per-attempt obs derive identical IDs without sharing state; the only
-// coordination is a bounded table mapping in-flight (trace, cell) pairs to
-// their current attempt number, written by the CellAttempt hook and read
-// when the attempt's obs is built.
+// span hierarchy through the same paths: trace root → cell → run. Span IDs
+// hash the path from the trace root, so the runner hooks and the cell's
+// obs derive identical IDs without sharing state.
 
 package harness
 
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/exp"
@@ -33,52 +29,17 @@ import (
 	"repro/internal/vm"
 )
 
-// attempts maps in-flight (trace, cell) pairs to the attempt number about
-// to run, so the per-attempt obs can derive its attempt span without
-// changing the Cell.Run signature. Entries live from CellAttempt to
-// CellEnd, so the table is bounded by concurrently running span-mode
-// cells.
-var attempts = struct {
-	sync.Mutex
-	m map[string]int
-}{m: make(map[string]int)}
-
-func attemptKey(trace, cell string) string { return trace + "\x00" + cell }
-
-func setAttempt(trace, cell string, n int) {
-	attempts.Lock()
-	attempts.m[attemptKey(trace, cell)] = n
-	attempts.Unlock()
-}
-
-// currentAttempt reads the in-flight attempt number, defaulting to 1 for
-// cells executed outside a hooked runner (direct Run calls in tests).
-func currentAttempt(trace, cell string) int {
-	attempts.Lock()
-	defer attempts.Unlock()
-	if n, ok := attempts.m[attemptKey(trace, cell)]; ok {
-		return n
-	}
-	return 1
-}
-
-func clearAttempt(trace, cell string) {
-	attempts.Lock()
-	delete(attempts.m, attemptKey(trace, cell))
-	attempts.Unlock()
-}
-
-// obs is a per-cell-attempt observation context; a nil *obs is the dormant
-// case and every method no-ops on it.
+// obs is a per-cell observation context; a nil *obs is the dormant case
+// and every method no-ops on it.
 type obs struct {
 	reg  *telemetry.Registry
 	tr   *telemetry.Tracer
 	cell string
 	prof *vm.Profile
-	// Span-mode state, zero otherwise. span is the attempt span; cur the
-	// innermost active span (the attempt between runs, the run during
-	// one). cur is only touched from the cell goroutine — the fault and
-	// rng callbacks fire synchronously on it — so it needs no lock.
+	// Span-mode state, zero otherwise. span is the cell span; cur the
+	// innermost active span (the cell between runs, the run during one).
+	// cur is only touched from the cell goroutine — the fault and rng
+	// callbacks fire synchronously on it — so it needs no lock.
 	span     telemetry.Span
 	cur      telemetry.Span
 	runs     int
@@ -87,8 +48,8 @@ type obs struct {
 	cellDone func(cell string, rows []telemetry.Row, counters, rngHealth map[string]uint64)
 }
 
-// obs builds the observation context for one cell attempt, or nil when
-// telemetry is dormant.
+// obs builds the observation context for one cell, or nil when telemetry
+// is dormant.
 func (c Config) obs(experiment, name string) *obs {
 	if c.Metrics == nil && c.Trace == nil && c.CellDone == nil {
 		return nil
@@ -99,8 +60,7 @@ func (c Config) obs(experiment, name string) *obs {
 		o.prof = vm.NewProfile()
 	}
 	if spanned {
-		attempt := currentAttempt(c.TraceID, o.cell)
-		o.span = telemetry.NewSpan(c.TraceID).Child("cell", o.cell).Child("attempt", strconv.Itoa(attempt))
+		o.span = telemetry.NewSpan(c.TraceID).Child("cell", o.cell)
 		o.cur = o.span
 	}
 	return o
@@ -116,7 +76,7 @@ func (o *obs) profile() *vm.Profile {
 }
 
 // runStart traces the start of one VM run within the cell. In span mode
-// each run opens its own child span of the attempt.
+// each run opens its own child span of the cell.
 func (o *obs) runStart(label string) {
 	if o == nil {
 		return
@@ -132,7 +92,8 @@ func (o *obs) runStart(label string) {
 // the run.end event additionally carries the run's exact attribution
 // delta: the profile rows accumulated by this run alone (grid-rounded
 // cycles subtract exactly) plus their sum, the reconciliation target for
-// FoldTrace.Reconcile and the obsv gate.
+// FoldTrace.Reconcile, which `make smoke` runs through benchjson
+// -tracetree and the selftest, and `make race` through the span tests.
 func (o *obs) runEnd(label string, m *vm.Machine, err error) {
 	if o == nil {
 		return
@@ -244,10 +205,10 @@ func (o *obs) watchFaults(inj *faultinject.Injector) {
 	})
 }
 
-// done folds the attempt's accumulated VM profile into the registry cell
-// and hands the per-attempt capture to CellDone. Call after the cell's
-// last machine has finished (machine profiles flush at Run exit, so the
-// rows are complete by then).
+// done folds the cell's accumulated VM profile into the registry cell and
+// hands the capture to CellDone. Call after the cell's last machine has
+// finished (machine profiles flush at Run exit, so the rows are complete
+// by then).
 func (o *obs) done() {
 	if o == nil {
 		return
@@ -299,9 +260,8 @@ func (c Config) auditDetection(cell, engine string, seed uint64, err error) {
 	c.Audit.Emit(e)
 }
 
-// hooks builds the runner lifecycle hooks feeding cell wall-time and
-// attempt metrics plus cell.start/retry/end trace events (span-scoped in
-// span mode, plus cell.attempt events and the attempt table). Dormant
+// hooks builds the runner lifecycle hooks feeding cell wall-time metrics
+// plus cell.start/end trace events (span-scoped in span mode). Dormant
 // configurations return the zero Hooks (all nil).
 func (c Config) hooks() exp.Hooks {
 	reg, tr := c.Metrics, c.Trace
@@ -317,20 +277,14 @@ func (c Config) hooks() exp.Hooks {
 	// degrades to a plain Event — outside span mode these hooks emit
 	// byte-identical records to earlier versions.
 	cellSpan := func(cell exp.Cell) telemetry.Span { return root.Child("cell", key(cell)) }
-	h := exp.Hooks{
+	return exp.Hooks{
 		CellStart: func(cell exp.Cell) {
 			tr.SpanEvent("cell.start", key(cell), cellSpan(cell), nil)
 		},
-		CellRetry: func(cell exp.Cell, attempt int, err error, wait time.Duration) {
-			tr.SpanEvent("cell.retry", key(cell), cellSpan(cell), map[string]any{
-				"attempt": attempt, "err": err.Error(), "wait_ns": wait.Nanoseconds(),
-			})
-		},
-		CellEnd: func(cell exp.Cell, recs []exp.Record, wall time.Duration, attempts int) {
+		CellEnd: func(cell exp.Cell, recs []exp.Record, wall time.Duration, _ int) {
 			if reg != nil {
 				reg.Histogram("exp.cell.wall_seconds", wallBounds).Observe(wall.Seconds())
-				reg.Histogram("exp.cell.attempts", attemptBounds).Observe(float64(attempts))
-				reg.Cell(key(cell)).Timing(wall.Seconds(), uint64(attempts))
+				reg.Cell(key(cell)).Timing(wall.Seconds())
 			}
 			failed := 0
 			for _, r := range recs {
@@ -339,31 +293,15 @@ func (c Config) hooks() exp.Hooks {
 				}
 			}
 			tr.SpanEvent("cell.end", key(cell), cellSpan(cell), map[string]any{
-				"wall_ns": wall.Nanoseconds(), "attempts": attempts,
-				"records": len(recs), "failed": failed,
+				"wall_ns": wall.Nanoseconds(), "records": len(recs), "failed": failed,
 			})
-			if root.ID != "" {
-				clearAttempt(c.TraceID, key(cell))
-			}
 		},
 	}
-	if root.ID != "" {
-		h.CellAttempt = func(cell exp.Cell, attempt int) {
-			k := key(cell)
-			setAttempt(c.TraceID, k, attempt)
-			tr.SpanEvent("cell.attempt", k, cellSpan(cell).Child("attempt", strconv.Itoa(attempt)),
-				map[string]any{"attempt": attempt})
-		}
-	}
-	return h
 }
 
-// wallBounds/attemptBounds are the fixed histogram bucket layouts for the
-// runner metrics (seconds; attempt counts).
-var (
-	wallBounds    = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60}
-	attemptBounds = []float64{1, 2, 3, 4, 5, 8}
-)
+// wallBounds is the fixed histogram bucket layout for the runner's cell
+// wall-time metric (seconds).
+var wallBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60}
 
 // registerGauges points the registry at the shared build caches and the
 // process-wide compiled-code cache, and mirrors code-cache compiles into

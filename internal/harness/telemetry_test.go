@@ -136,7 +136,8 @@ func TestTelemetryNeutralAndExact(t *testing.T) {
 //  2. Tree reconciliation — the folded trace's per-cell exact cycle
 //     totals equal both the CellDone-accumulated row sums and the metric
 //     snapshot's per-cell TotalCycles, bit-for-bit.
-//  3. Structure — every cell span carries attempt and run children.
+//  3. Structure — every cell span nests its run spans directly, and
+//     CellDone fires once per cell.
 func TestSpanModeDormantAndReconciled(t *testing.T) {
 	src := `long work(long n) { long i; long acc; i = 0; acc = 0;
 	  while (i < n) { acc = acc + i * i; i = i + 1; } return acc; }
@@ -153,7 +154,7 @@ func TestSpanModeDormantAndReconciled(t *testing.T) {
 	tracer := telemetry.NewTracer(&traceBuf)
 	var mu sync.Mutex
 	captured := make(map[string][]telemetry.Row)
-	attempts := make(map[string]int)
+	firings := make(map[string]int)
 	cfg := harness.Config{
 		Metrics: reg,
 		Trace:   tracer,
@@ -164,7 +165,7 @@ func TestSpanModeDormantAndReconciled(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			captured[cell] = telemetry.MergeRows(captured[cell], rows)
-			attempts[cell]++
+			firings[cell]++
 		},
 	}
 	got, err := harness.RunSession(cfg, spec)
@@ -191,7 +192,7 @@ func TestSpanModeDormantAndReconciled(t *testing.T) {
 	}
 
 	// Each engine contributes 2 cells (run0, run1); each cell span nests
-	// attempt spans which nest run spans carrying the rows.
+	// run spans carrying the rows.
 	cellSpans := 0
 	for _, c := range tree.Roots[0].Children {
 		if c.Cell == "" {
@@ -199,11 +200,11 @@ func TestSpanModeDormantAndReconciled(t *testing.T) {
 		}
 		cellSpans++
 		if len(c.Children) == 0 {
-			t.Fatalf("cell span %s has no attempt children", c.Cell)
+			t.Fatalf("cell span %s has no run children", c.Cell)
 		}
-		for _, a := range c.Children {
-			if len(a.Children) == 0 {
-				t.Fatalf("attempt span under %s has no run children", c.Cell)
+		for _, r := range c.Children {
+			if r.Kind != "run.start" || r.Cycles == 0 || len(r.Children) != 0 {
+				t.Fatalf("cell span %s child %s (%s): want a leaf run span with cycles", c.Cell, r.ID, r.Kind)
 			}
 		}
 	}
@@ -228,8 +229,8 @@ func TestSpanModeDormantAndReconciled(t *testing.T) {
 		if treeTotals[cell] != sum {
 			t.Fatalf("cell %s: tree total %v != CellDone sum %v", cell, treeTotals[cell], sum)
 		}
-		if attempts[cell] != 1 {
-			t.Fatalf("cell %s: %d CellDone firings, want 1", cell, attempts[cell])
+		if firings[cell] != 1 {
+			t.Fatalf("cell %s: %d CellDone firings, want 1", cell, firings[cell])
 		}
 	}
 	for _, c := range reg.Snapshot().Cells {

@@ -5,7 +5,7 @@ package server
 // keeps serving, degrades into typed errors and classified records (never
 // panics, never leaks goroutines), drains cleanly, and streams bytes
 // identical to the offline experiment pipeline. Run under -race by the
-// `make service` gate.
+// `make race` gate.
 
 import (
 	"bufio"

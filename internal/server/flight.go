@@ -37,14 +37,12 @@ const (
 )
 
 // CellSummary is one session cell's flight record: outcome class, exact
-// accumulated cycle attribution (summed across attempts, matching the
-// trace tree's per-cell totals bit-for-bit), top cycle categories and RNG
-// health.
+// cycle attribution (matching the trace tree's per-cell totals
+// bit-for-bit), top cycle categories and RNG health.
 type CellSummary struct {
 	Cell        string            `json:"cell"`
 	Class       string            `json:"class"`
 	Err         string            `json:"err,omitempty"`
-	Attempts    int               `json:"attempts"`
 	TotalCycles float64           `json:"total_cycles"`
 	TopRows     []telemetry.Row   `json:"top_rows,omitempty"`
 	RNG         map[string]uint64 `json:"rng,omitempty"`
@@ -177,40 +175,29 @@ func (f *flightRecorder) sessions() int {
 	return len(f.entries)
 }
 
-// flightCapture accumulates one in-flight session's per-cell observations
-// via harness.Config.CellDone. CellDone fires once per attempt with that
-// attempt's full rows; the capture merges across attempts so its totals
-// equal the trace tree's per-cell run.end sums exactly (each attempt's
-// run deltas sum to the attempt's rows, and grid-rounded cycles add
-// exactly in any order).
+// flightCapture collects one in-flight session's per-cell observations via
+// harness.Config.CellDone, which fires once per cell that runs with the
+// cell's full rows; their sum equals the trace tree's per-cell run.end
+// sums exactly (the run deltas sum to the cell's rows, and grid-rounded
+// cycles add exactly in any order).
 type flightCapture struct {
 	mu    sync.Mutex
-	cells map[string]*cellCapture
+	cells map[string]cellCapture
 }
 
 type cellCapture struct {
-	attempts int
-	rows     []telemetry.Row
-	rng      map[string]uint64
+	rows []telemetry.Row
+	rng  map[string]uint64
 }
 
 func newFlightCapture() *flightCapture {
-	return &flightCapture{cells: make(map[string]*cellCapture)}
+	return &flightCapture{cells: make(map[string]cellCapture)}
 }
 
 func (fc *flightCapture) cellDone(cell string, rows []telemetry.Row, _, rngHealth map[string]uint64) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	c, ok := fc.cells[cell]
-	if !ok {
-		c = &cellCapture{}
-		fc.cells[cell] = c
-	}
-	c.attempts++
-	c.rows = telemetry.MergeRows(c.rows, rows)
-	if rngHealth != nil {
-		c.rng = rngHealth
-	}
+	fc.cells[cell] = cellCapture{rows: rows, rng: rngHealth}
 }
 
 // summaries folds the capture and the session's final records into
@@ -229,9 +216,8 @@ func (fc *flightCapture) summaries(recs []exp.Record) []CellSummary {
 		if !ok {
 			i = len(out)
 			index[rec.Cell] = i
-			cs := CellSummary{Cell: rec.Cell, Class: "ok", Attempts: 1}
+			cs := CellSummary{Cell: rec.Cell, Class: "ok"}
 			if c, ok := fc.cells["session/"+rec.Cell]; ok {
-				cs.Attempts = c.attempts
 				cs.RNG = c.rng
 				for _, r := range c.rows {
 					cs.TotalCycles += r.Cycles
@@ -246,9 +232,6 @@ func (fc *flightCapture) summaries(recs []exp.Record) []CellSummary {
 			if out[i].Class == "" {
 				out[i].Class = "error"
 			}
-		}
-		if rec.Attempts > out[i].Attempts {
-			out[i].Attempts = rec.Attempts
 		}
 	}
 	return out

@@ -2,7 +2,7 @@ package server
 
 // FuzzServerRequest pins the request-decoding contract: arbitrary bytes in
 // the submit path produce either a valid spec or a typed 4xx *Error —
-// never a panic, never an untyped failure, never a 5xx. The `make service`
+// never a panic, never an untyped failure, never a 5xx. The `make race`
 // gate runs the seed corpus; `go test -fuzz=FuzzServerRequest
 // ./internal/server` explores from there.
 

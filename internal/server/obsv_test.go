@@ -96,11 +96,11 @@ func TestLabeledMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestTracedSessionEndToEnd is the server-side obsv acceptance path: a
-// traced session with a canary detection is observable through the flight
-// recorder, the folded trace (reconciling exactly against the flight
-// record), and the audit log — while a dormant twin of the same spec
-// streams byte-identical records.
+// TestTracedSessionEndToEnd is the server-side observability acceptance
+// path, run by `make race`: a traced session with a canary detection is
+// observable through the flight recorder, the folded trace (reconciling
+// exactly against the flight record), and the audit log — while a dormant
+// twin of the same spec streams byte-identical records.
 func TestTracedSessionEndToEnd(t *testing.T) {
 	var auditBuf bytes.Buffer
 	sink := telemetry.NewAuditSink(&auditBuf)

@@ -236,8 +236,12 @@ func (q *Request) Deadline(lim Limits) time.Duration {
 	if q.DeadlineMS <= 0 {
 		return lim.DefaultDeadline
 	}
-	d := time.Duration(q.DeadlineMS) * time.Millisecond
-	return min(d, lim.MaxDeadline)
+	// Clamp before converting: a millisecond count past MaxDeadline can
+	// overflow time.Duration and wrap to an already-expired deadline.
+	if q.DeadlineMS > int64(lim.MaxDeadline/time.Millisecond) {
+		return lim.MaxDeadline
+	}
+	return time.Duration(q.DeadlineMS) * time.Millisecond
 }
 
 // specError maps a harness.SessionCells validation failure to a typed

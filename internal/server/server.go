@@ -65,8 +65,6 @@ type Config struct {
 	QueueTimeout  time.Duration
 	// Limits bound individual requests (see Limits).
 	Limits Limits
-	// Retries is the per-cell transient-retry budget (default 0).
-	Retries int
 	// HardStopGrace bounds how long Drain waits for cancelled sessions to
 	// unwind after the grace period (default 10s).
 	HardStopGrace time.Duration
@@ -342,7 +340,6 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 
 	hcfg := harness.Config{
 		Ctx:      ctx,
-		Retries:  s.cfg.Retries,
 		Metrics:  s.cfg.Metrics,
 		Trace:    tracer,
 		TraceID:  traceID,
@@ -378,9 +375,9 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	runner := hcfg.NewRunner()
 	runner.Workers = 1 // one slot = one session = one executing cell
 	chainedEnd := runner.Hooks.CellEnd
-	runner.Hooks.CellEnd = func(c exp.Cell, recs []exp.Record, wall time.Duration, attempts int) {
+	runner.Hooks.CellEnd = func(c exp.Cell, recs []exp.Record, wall time.Duration, ran int) {
 		if chainedEnd != nil {
-			chainedEnd(c, recs, wall, attempts)
+			chainedEnd(c, recs, wall, ran)
 		}
 		st.write(recs)
 	}

@@ -182,6 +182,35 @@ func TestTypedRequestErrors(t *testing.T) {
 	}
 }
 
+// TestRequestDeadlineClamp pins Deadline's clamp on decoded requests:
+// deadline_ms values too large for a time.Duration resolve to MaxDeadline
+// instead of wrapping to a deadline that cancels the session at once.
+func TestRequestDeadlineClamp(t *testing.T) {
+	lim := Limits{}.withDefaults()
+	cases := []struct {
+		ms   string
+		want time.Duration
+	}{
+		{"9223372036854775807", lim.MaxDeadline},
+		{"4611686018427387904", lim.MaxDeadline}, // 1<<62
+		{"18446744073710", lim.MaxDeadline},
+		{"120001", lim.MaxDeadline},
+		{"120000", lim.MaxDeadline},
+		{"1500", 1500 * time.Millisecond},
+		{"0", lim.DefaultDeadline},
+	}
+	for _, tc := range cases {
+		body := `{"tenant":"t1","workload":"lbm","engines":["fixed"],"deadline_ms":` + tc.ms + `}`
+		req, aerr := ParseRequest(strings.NewReader(body), lim)
+		if aerr != nil {
+			t.Fatalf("deadline_ms %s: %v", tc.ms, aerr)
+		}
+		if got := req.Deadline(lim); got != tc.want {
+			t.Errorf("deadline_ms %s: Deadline = %v, want %v", tc.ms, got, tc.want)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	resp := postSession(t, ts, sessionBody(""))

@@ -285,11 +285,9 @@ func buildSpanTrace(t *testing.T) (string, map[string]float64) {
 	for _, cell := range []string{"session/a", "session/b"} {
 		cellSpan := root.Child("cell", cell)
 		tr.SpanEvent("cell.start", cell, cellSpan, nil)
-		attempt := cellSpan.Child("attempt", "1")
-		tr.SpanEvent("cell.attempt", cell, attempt, map[string]any{"attempt": 1})
 		var cellTotal float64
 		for run := 0; run < 2; run++ {
-			runSpan := attempt.Child("run", fmt.Sprint(run+1), cell)
+			runSpan := cellSpan.Child("run", fmt.Sprint(run+1), cell)
 			tr.SpanEvent("run.start", cell, runSpan, nil)
 			rows := []Row{
 				{Kind: "op", Name: "add", Count: 10, Cycles: GridRound(10.25)},

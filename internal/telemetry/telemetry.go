@@ -126,7 +126,6 @@ type Row struct {
 type Cell struct {
 	mu       sync.Mutex
 	wall     float64
-	attempts uint64
 	rows     []Row
 	rng      map[string]uint64
 	counters map[string]uint64
@@ -168,15 +167,14 @@ func (c *Cell) SetRNG(h map[string]uint64) {
 	c.rng = h
 }
 
-// Timing records the cell's runner wall time and attempt count.
-func (c *Cell) Timing(wallSeconds float64, attempts uint64) {
+// Timing records the cell's runner wall time.
+func (c *Cell) Timing(wallSeconds float64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.wall += wallSeconds
-	c.attempts += attempts
 }
 
 // CellSnap is the serialized form of a Cell. TotalCycles is *defined* as
@@ -189,7 +187,6 @@ func (c *Cell) Timing(wallSeconds float64, attempts uint64) {
 type CellSnap struct {
 	Name        string            `json:"name"`
 	WallSeconds float64           `json:"wall_seconds,omitempty"`
-	Attempts    uint64            `json:"attempts,omitempty"`
 	TotalCycles float64           `json:"total_cycles"`
 	Rows        []Row             `json:"rows,omitempty"`
 	RNG         map[string]uint64 `json:"rng,omitempty"`
@@ -199,7 +196,7 @@ type CellSnap struct {
 func (c *Cell) snap(name string) CellSnap {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CellSnap{Name: name, WallSeconds: c.wall, Attempts: c.attempts}
+	s := CellSnap{Name: name, WallSeconds: c.wall}
 	// AddRows keeps the rows merged and ordered; snapshot a copy.
 	s.Rows = append([]Row(nil), c.rows...)
 	for _, r := range s.Rows {

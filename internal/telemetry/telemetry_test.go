@@ -41,7 +41,7 @@ func TestRegistryNilIsDormant(t *testing.T) {
 	r.Histogram("h", []float64{1}).Observe(2)
 	r.Cell("c").AddCounter("k", 3)
 	r.Cell("c").AddRows([]Row{{Kind: "op", Name: "add", Count: 1, Cycles: 1}})
-	r.Cell("c").Timing(0.5, 1)
+	r.Cell("c").Timing(0.5)
 	s := r.Snapshot()
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Cells) != 0 {
 		t.Fatalf("nil registry produced data: %+v", s)
@@ -180,7 +180,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 				r.Histogram("h", []float64{10, 100}).Observe(float64(i))
 				c := r.Cell("cell")
 				c.AddCounter("k", 1)
-				c.Timing(0.001, 1)
+				c.Timing(0.5)
 			}
 		}(g)
 	}
@@ -189,7 +189,8 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if s.Counters[0].Value != 8000 {
 		t.Fatalf("counter %d, want 8000", s.Counters[0].Value)
 	}
-	if s.Cells[0].Counters["k"] != 8000 || s.Cells[0].Attempts != 8000 {
+	// 0.5 s steps add exactly, so the concurrent sum must be exact too.
+	if s.Cells[0].Counters["k"] != 8000 || s.Cells[0].WallSeconds != 4000 {
 		t.Fatalf("cell %+v", s.Cells[0])
 	}
 }

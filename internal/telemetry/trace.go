@@ -3,8 +3,8 @@
 // number so a reader can replay the whole run — or any one cell's slice of
 // it — in exact emission order even when cells ran concurrently.
 //
-// Span mode layers a trace/span ID hierarchy on top (session → cell →
-// attempt → phase): callers that thread a Span through SpanEvent get
+// Span mode layers a trace/span ID hierarchy on top (trace root → cell →
+// run): callers that thread a Span through SpanEvent get
 // events that fold into a per-session tree (FoldTrace), while plain Event
 // callers keep emitting byte-identical records — the span fields are
 // omitempty and a zero Span adds nothing.
@@ -23,9 +23,9 @@ import (
 )
 
 // Event is one trace record. Kind is dot-namespaced (cell.start, cell.end,
-// cell.retry, cell.attempt, compile, run.start, run.end, fault.entropy,
-// fault.hostdelay, fault.hostfail, watchdog.cancel, rng.ladder,
-// session.start, session.end); Cell scopes the event to an experiment cell
+// compile, run.start, run.end, fault.entropy, fault.hostdelay,
+// fault.hostfail, watchdog.cancel, rng.ladder, session.start,
+// session.end); Cell scopes the event to an experiment cell
 // when one is in scope. Trace/Span/Parent are set only in span mode: Span
 // identifies the span the event belongs to and Parent that span's parent,
 // denormalized per event so a trace folds into a tree without external
@@ -43,7 +43,7 @@ type Event struct {
 
 // Span names one node of a trace's span tree. IDs are deterministic
 // hashes of the path from the trace root, so independent emitters (the
-// runner hooks, the per-attempt observation context) derive identical IDs
+// runner hooks, the per-cell observation context) derive identical IDs
 // for the same logical span without coordination. The zero Span is "no
 // span": SpanEvent with it behaves exactly like Event.
 type Span struct {

@@ -1,10 +1,11 @@
-// Trace-tree folding: reconstruct the span hierarchy (session → cell →
-// attempt → run) from a flat JSONL trace and roll exact cycle attribution
-// up the tree. run.end events in span mode carry their run's grid-rounded
+// Trace-tree folding: reconstruct the span hierarchy (trace root → cell →
+// run) from a flat JSONL trace and roll exact cycle attribution up the
+// tree. run.end events in span mode carry their run's grid-rounded
 // attribution rows plus the exact row-sum (total_cycles); because every
 // row is a multiple of 2^-20 cycles, sums and roll-ups reproduce the
 // per-cell TotalCycles of the metrics snapshot bit-for-bit — the
-// reconciliation the obsv CI gate pins.
+// reconciliation `make smoke` checks end to end (benchjson -tracetree,
+// smokestackd -selftest) and `make race` pins in the span tests.
 package telemetry
 
 import (
@@ -241,7 +242,7 @@ func (t *TraceTree) Reconcile() error {
 
 // CellTotals sums the exact attributed cycles per cell across the whole
 // tree — the quantity the flight recorder records per session cell, and
-// the side the obsv reconciliation compares against.
+// the side the selftest's reconciliation compares against.
 func (t *TraceTree) CellTotals() map[string]float64 {
 	totals := make(map[string]float64)
 	var walk func(n *SpanNode)
