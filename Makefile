@@ -41,9 +41,9 @@ race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
 
 # The golden-pinned suites re-run under SMOKESTACK_EXEC=switch. The plain
-# run (block tier, the default) already happens inside `race`, tier
+# run (compiled tier, the default) already happens inside `race`, tier
 # differentials included; this one makes the legacy interpreter reproduce
-# the exact same bytes, so an accelerated-tier bug can never hide behind a
+# the exact same bytes, so a compiled-tier bug can never hide behind a
 # matching golden regeneration.
 invariance:
 	SMOKESTACK_EXEC=switch $(GO) test -run 'TestCycleInvariance|TestRecordInvariance' -count=1 .
@@ -55,10 +55,10 @@ invariance:
 # smokestackd's self-test drives submit → stream → drain plus a traced
 # canary detection through the flight recorder and audit log; a span-mode
 # fig4 trace must fold through benchjson -tracetree, which exits non-zero
-# on any reconciliation mismatch; and the defense matrix renders
-# end-to-end. The metric and trace files live in a private temporary
-# directory, removed when the recipe exits, so concurrent runs on one host
-# cannot overwrite each other's files.
+# on any reconciliation mismatch or event outside the span tree; and the
+# defense matrix renders end-to-end. The metric and trace files live in a
+# private temporary directory, removed when the recipe exits, so
+# concurrent runs on one host cannot overwrite each other's files.
 smoke:
 	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/dopbench -faults > /dev/null; \

@@ -35,8 +35,8 @@
 // per-session span tree — trace root → cell → run, each run carrying
 // its exact cycle-attribution rows — and verifies that every run span's
 // rows sum to its recorded total exactly before printing the tree with
-// per-cell and per-tree cycle totals. A trace that fails reconciliation
-// exits 1:
+// per-cell and per-tree cycle totals. A trace that fails reconciliation,
+// or that has spans but also events outside them, exits 1:
 //
 //	go run ./cmd/benchjson -tracetree trace.jsonl
 package main
@@ -429,8 +429,9 @@ func renderMetrics(w *os.File, path string) error {
 // renderTraceTree folds a span-trace JSONL file into its span tree,
 // verifies the exactness contract (every run span's rows sum to its
 // recorded total, bit-for-bit), and prints the indented tree followed by
-// the per-cell exact cycle totals. A truncated tail, a corrupt line or a
-// reconciliation mismatch is an error.
+// the per-cell exact cycle totals. A truncated tail, a corrupt line, a
+// reconciliation mismatch or an event outside the span tree of a trace
+// that has one is an error.
 func renderTraceTree(w *os.File, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -444,6 +445,9 @@ func renderTraceTree(w *os.File, path string) error {
 	tree := telemetry.FoldTrace(events)
 	if err := tree.Reconcile(); err != nil {
 		return fmt.Errorf("%s: %v", path, err)
+	}
+	if n := len(tree.Unspanned); n > 0 && len(tree.Roots) > 0 {
+		return fmt.Errorf("%s: %d events outside the span tree (first: %q)", path, n, tree.Unspanned[0].Kind)
 	}
 	if err := tree.Write(w); err != nil {
 		return err

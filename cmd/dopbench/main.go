@@ -4,7 +4,7 @@
 //
 //	dopbench -exp fig3|fig4|table1|pentest|bypass|cve|ablation-rng|ablation-pbox|entropy|faults|defenses|all
 //	         [-engines a,b,c] [-faults] [-seed N] [-jitter] [-parallel N] [-json]
-//	         [-exec switch|block] [-metrics FILE] [-trace FILE]
+//	         [-exec switch] [-metrics FILE] [-trace FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // All experiments run through one shared exp.Runner worker pool; -parallel
@@ -18,11 +18,10 @@
 // rejected up front with the registered list. Experiments with golden-
 // pinned lineups (fig3/fig4/ablations) ignore it.
 //
-// -exec pins the VM executor tier for every run (equivalent to setting
-// SMOKESTACK_EXEC): "switch" is the reference interpreter, "block" (the
-// default) the fused compiled tier with block superinstructions. Both
-// produce bit-identical results; the flag exists for tier benchmarking
-// and differential debugging.
+// -exec switch runs every VM on the reference switch interpreter
+// (equivalent to setting SMOKESTACK_EXEC=switch) instead of the default
+// compiled tier. Both produce bit-identical results; the flag exists for
+// tier benchmarking and differential debugging.
 //
 // -faults is shorthand for -exp faults: the entropy-brownout/host-fault
 // sweep. Cells that fail *because of the injected schedule* carry a
@@ -75,7 +74,7 @@ func run() int {
 	jitter := flag.Bool("jitter", true, "enable the instruction-scheduling perturbation model in fig3")
 	parallel := flag.Int("parallel", 0, "worker pool size for experiment cells (0 = GOMAXPROCS, 1 = serial)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON records (one per line) instead of tables")
-	execTier := flag.String("exec", "", "executor tier for every VM run: switch or block (default: $SMOKESTACK_EXEC, else block)")
+	execTier := flag.String("exec", "", "executor tier for every VM run: switch (default: $SMOKESTACK_EXEC, else the compiled tier)")
 	metricsFile := flag.String("metrics", "", "write a JSON metric snapshot to this file (and a Prometheus exposition to FILE.prom)")
 	traceFile := flag.String("trace", "", "stream the structured JSONL event trace to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
@@ -115,7 +114,7 @@ func run() int {
 
 	if *execTier != "" {
 		if _, ok := vm.ParseExecTier(*execTier); !ok {
-			fmt.Fprintf(os.Stderr, "dopbench: -exec: unknown tier %q (want switch or block)\n", *execTier)
+			fmt.Fprintf(os.Stderr, "dopbench: -exec: unknown tier %q (want switch)\n", *execTier)
 			return 2
 		}
 		// Machines are built deep inside the harness with TierAuto, which

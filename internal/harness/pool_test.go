@@ -107,11 +107,12 @@ int main() {
 `
 
 // TestMachineReuseNoLeakAcrossEngines runs the leak probe under every
-// registered defense engine on every execution tier: a Machine that just
-// faulted mid-run is recycled for a clean run, which must match a fresh
-// Machine bit-for-bit (value, error, full stats) and verify pristine on
-// the way in. This is the registry-wide version of the vm package's
-// reuse differentials.
+// registered defense engine on every execution tier (block runs the
+// vm.TierBlock alias of the compiled tier): a Machine that just faulted
+// mid-run is recycled for a clean run, which must match a fresh Machine
+// bit-for-bit (value, error, full stats) and verify pristine on the way
+// in. This is the registry-wide version of the vm package's reuse
+// differentials.
 func TestMachineReuseNoLeakAcrossEngines(t *testing.T) {
 	w := &workload.Workload{Name: "leakprobe", Source: leakProbeSrc}
 	prog := w.Prog()

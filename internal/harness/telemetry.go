@@ -305,15 +305,19 @@ var wallBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60}
 
 // registerGauges points the registry at the shared build caches and the
 // process-wide compiled-code cache, and mirrors code-cache compiles into
-// the trace. Idempotent per Config; called once per Run.
+// the trace — in span mode under the trace root's compile span, as
+// SessionCells records an inline program's compile. Idempotent per
+// Config; called once per Run.
 func (c Config) registerGauges() {
 	reg, tr := c.Metrics, c.Trace
 	if reg == nil && tr == nil {
 		return
 	}
 	if tr != nil {
+		// The zero Span (no TraceID) keeps flat traces byte-identical.
+		sp := telemetry.NewSpan(c.TraceID).Child("compile")
 		vm.DefaultCodeCache().OnCompile(func(prog string, funcs int) {
-			tr.Event("compile", "", map[string]any{"prog": prog, "funcs": funcs})
+			tr.SpanEvent("compile", "", sp, map[string]any{"prog": prog, "funcs": funcs})
 		})
 	}
 	if reg == nil {
@@ -329,9 +333,6 @@ func (c Config) registerGauges() {
 	reg.SetGauge("vm.codecache.len", func() float64 { return float64(cc.Len()) })
 	reg.SetGauge("vm.codecache.hits", func() float64 { h, _ := cc.Stats(); return float64(h) })
 	reg.SetGauge("vm.codecache.misses", func() float64 { _, m := cc.Stats(); return float64(m) })
-	reg.SetGauge("vm.blockcache.len", func() float64 { return float64(cc.BlockLen()) })
-	reg.SetGauge("vm.blockcache.hits", func() float64 { h, _ := cc.BlockStats(); return float64(h) })
-	reg.SetGauge("vm.blockcache.misses", func() float64 { _, m := cc.BlockStats(); return float64(m) })
 	reg.SetGauge("vm.pool.hits", func() float64 { return float64(machinePool.Stats().Hits) })
 	reg.SetGauge("vm.pool.misses", func() float64 { return float64(machinePool.Stats().Misses) })
 	reg.SetGauge("vm.pool.puts", func() float64 { return float64(machinePool.Stats().Puts) })

@@ -68,7 +68,8 @@ type Limits struct {
 	// MaxStepLimit bounds the per-run step budget (default 2e9, the
 	// experiment default; requests asking for more are clamped).
 	MaxStepLimit uint64
-	// DefaultDeadline applies when a request names none (default 30s).
+	// DefaultDeadline applies when a request names none (default 30s,
+	// clamped to MaxDeadline).
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps requested deadlines (default 2 min).
 	MaxDeadline time.Duration
@@ -95,6 +96,9 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.MaxDeadline <= 0 {
 		l.MaxDeadline = 2 * time.Minute
+	}
+	if l.DefaultDeadline > l.MaxDeadline {
+		l.DefaultDeadline = l.MaxDeadline
 	}
 	return l
 }

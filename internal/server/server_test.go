@@ -184,7 +184,8 @@ func TestTypedRequestErrors(t *testing.T) {
 
 // TestRequestDeadlineClamp pins Deadline's clamp on decoded requests:
 // deadline_ms values too large for a time.Duration resolve to MaxDeadline
-// instead of wrapping to a deadline that cancels the session at once.
+// instead of wrapping to a deadline that cancels the session at once, and
+// a configured default above the ceiling is clamped to it too.
 func TestRequestDeadlineClamp(t *testing.T) {
 	lim := Limits{}.withDefaults()
 	cases := []struct {
@@ -208,6 +209,11 @@ func TestRequestDeadlineClamp(t *testing.T) {
 		if got := req.Deadline(lim); got != tc.want {
 			t.Errorf("deadline_ms %s: Deadline = %v, want %v", tc.ms, got, tc.want)
 		}
+	}
+	high := Limits{DefaultDeadline: 5 * time.Minute, MaxDeadline: 2 * time.Minute}
+	if got := (&Request{}).Deadline(high); got != high.MaxDeadline {
+		t.Errorf("default deadline %v over ceiling %v: Deadline = %v, want the ceiling",
+			high.DefaultDeadline, high.MaxDeadline, got)
 	}
 }
 

@@ -24,7 +24,8 @@
 // cycle count; separate in-order adds make the compiled tier's accounting
 // bit-identical to the switch interpreter's, which is what lets the PR 2
 // goldens (testdata/cycles_golden.json, records_golden.jsonl) pin both
-// tiers at once.
+// tiers at once, whatever the cost model (TestFractionalCostsMatchSwitch
+// runs a fractional one).
 //
 // Compiled streams depend on the program, the cost model, the engine
 // only through its scalar AddrLocalExtraCycles surcharge, and whether a
@@ -163,20 +164,6 @@ const (
 	cMulStore8
 	cAddrAddrLoad8
 
-	// cBlock is the block tier's superinstruction: one dispatch executes a
-	// whole straight-line run of cinstrs (the "uops" of a blockDesc) with
-	// a single amortized step-budget check and a single pre-summed cost
-	// add. Only emitted by blockProgram (blocktier.go), and
-	// only when the folded cost table is integer-valued, which makes float
-	// cost addition exact and hence associative — the one pre-summed add is
-	// then bit-identical to the threaded tier's in-order per-constituent
-	// adds. The covered cinstrs stay in the stream at their original
-	// indexes, so mid-block faults and slow-path memory events hand the
-	// driver plain indexes and resume through the untouched originals.
-	// Fields: a = block index into compiledFunc.blocks, t0 = fall-through
-	// continuation index (unused when the block ends in its own branch).
-	cBlock
-
 	// cCount leads every basic block of a profiled stream (countFunc) and
 	// only there: it increments the block's count (a = index into
 	// compiledProgram.bbs) and continues at t0, the block's first cop,
@@ -207,20 +194,12 @@ type cinstr struct {
 	cost3    float64
 }
 
-// compiledFunc is one function's compiled stream. Call argument registers
-// live in a side table (argLists, indexed by cinstr.a) to keep cinstr flat
-// and pointer-free. Block-tier streams additionally carry the mined block
-// descriptors (blocks, indexed by a cBlock's a field) and an entry index:
-// block formation appends cBlock cinstrs at the end of the stream and
-// redirects branch targets (and the function entry) that land on a block
-// leader to the appended superinstruction, leaving the covered plain
-// cinstrs in place for mid-block resume. Threaded streams have entry 0 and
-// nil blocks.
+// compiledFunc is one function's compiled stream, entered at index 0.
+// Call argument registers live in a side table (argLists, indexed by
+// cinstr.a) to keep cinstr flat and pointer-free.
 type compiledFunc struct {
 	code     []cinstr
 	argLists [][]ir.Reg
-	blocks   []blockDesc
-	entry    int32
 }
 
 // compiledProgram holds every function's stream, indexed by ir.Function.ID.
@@ -268,13 +247,6 @@ type CodeCache struct {
 	// (but under the cache lock; observers must not re-enter the cache).
 	onCompile func(prog string, funcs int)
 
-	// Block tier. blockProgs caches block-formed streams under the same
-	// codeKey: block formation is a pure function of the threaded stream,
-	// so the key fully identifies the block stream too.
-	blockProgs  map[codeKey]*compiledProgram
-	blockHits   int
-	blockMisses int
-
 	// retired marks a cache its owner discarded (MachinePool.Retire):
 	// Machines built on it are no longer pooled.
 	retired atomic.Bool
@@ -296,10 +268,7 @@ func (c *CodeCache) Len() int {
 
 // NewCodeCache creates an empty compiled-code cache.
 func NewCodeCache() *CodeCache {
-	return &CodeCache{
-		progs:      make(map[codeKey]*compiledProgram),
-		blockProgs: make(map[codeKey]*compiledProgram),
-	}
+	return &CodeCache{progs: make(map[codeKey]*compiledProgram)}
 }
 
 // defaultCodeCache backs every Machine that does not supply its own cache.
@@ -318,23 +287,6 @@ func (c *CodeCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// BlockStats reports block-tier cache hits and misses (for tooling and
-// tests; a miss implies one block-formation pass over the threaded
-// stream).
-func (c *CodeCache) BlockStats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.blockHits, c.blockMisses
-}
-
-// BlockLen reports the number of cached block-formed programs (telemetry
-// gauge).
-func (c *CodeCache) BlockLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.blockProgs)
 }
 
 // compiled returns the compiled program for the key, building it on miss.

@@ -265,31 +265,31 @@ func TestExecTierSelection(t *testing.T) {
 	prog := testProg("tier")
 	mk := func(o *Options) *Machine { return New(prog, layout.NewFixed(), &Env{}, o) }
 
-	t.Run("auto-defaults-to-block", func(t *testing.T) {
+	t.Run("auto-defaults-to-compiled", func(t *testing.T) {
 		t.Setenv(execTierEnv, "")
 		cache := NewCodeCache()
 		m := mk(&Options{TRNG: rng.SeededTRNG(1), CodeCache: cache})
-		if m.ccode == nil {
-			t.Fatal("TierAuto with no env override must compile")
+		if m.tier != TierCompiled || m.ccode == nil {
+			t.Fatal("TierAuto with no env override must select the compiled tier")
 		}
-		if _, misses := cache.BlockStats(); misses != 1 {
-			t.Fatal("TierAuto with no env override must select the block tier")
-		}
-	})
-	t.Run("env-selects-threaded", func(t *testing.T) {
-		// The threaded tier is the block tier's internal fallback, reachable
-		// only through Options.Exec: the name does not parse, and TierAuto
-		// under it selects the default block tier.
-		if _, ok := ParseExecTier("threaded"); ok {
-			t.Fatal(`ParseExecTier("threaded") must not parse`)
-		}
-		t.Setenv(execTierEnv, "threaded")
-		cache := NewCodeCache()
-		mk(&Options{TRNG: rng.SeededTRNG(1), CodeCache: cache})
-		if _, misses := cache.BlockStats(); misses != 1 {
-			t.Fatal("SMOKESTACK_EXEC=threaded must fall through to the block tier")
+		if _, misses := cache.Stats(); misses != 1 {
+			t.Fatal("TierAuto with no env override must compile once")
 		}
 	})
+	// The compiled tier is the default, not an environment choice, and the
+	// removed block tier's name is gone: neither name parses, and TierAuto
+	// under either selects the compiled tier.
+	for _, name := range []string{"threaded", "block"} {
+		t.Run("env-selects-"+name, func(t *testing.T) {
+			if _, ok := ParseExecTier(name); ok {
+				t.Fatalf("ParseExecTier(%q) must not parse", name)
+			}
+			t.Setenv(execTierEnv, name)
+			if m := mk(&Options{TRNG: rng.SeededTRNG(1)}); m.tier != TierCompiled {
+				t.Fatalf("SMOKESTACK_EXEC=%s must fall through to the compiled tier", name)
+			}
+		})
+	}
 	t.Run("env-selects-switch", func(t *testing.T) {
 		t.Setenv(execTierEnv, "switch")
 		if m := mk(&Options{TRNG: rng.SeededTRNG(1)}); m.ccode != nil {

@@ -79,11 +79,6 @@ const (
 func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, offsets []int64) (int64, error) {
 	regs := m.regSlab(len(m.frames)-1, fn.NumRegs)
 	code := cf.code
-	// Block tier: blocks holds the mined superinstruction descriptors and
-	// entry points at the function's first dispatch (a cBlock when the
-	// entry run forms a block). Threaded streams have nil blocks and entry
-	// 0, and the core never touches either.
-	blocks := cf.blocks
 	costMul := 1.0
 	if m.jitter != nil {
 		costMul = m.jitter[fn.ID]
@@ -115,10 +110,10 @@ func (m *Machine) execCompiled(fn *ir.Function, cf *compiledFunc, base uint64, o
 	if m.watchdog {
 		next = supNext(steps, limit)
 	}
-	pc := int(cf.entry)
+	pc := 0
 	for {
 		var ev coreEvent
-		pc, cycles, steps, ev = runCore(code, blocks, bbn, regs, base, offsets, stk, hot, hot2, pc, cycles, steps, next, limit)
+		pc, cycles, steps, ev = runCore(code, bbn, regs, base, offsets, stk, hot, hot2, pc, cycles, steps, next, limit)
 		c := &code[pc]
 		switch ev {
 		case evLimit, evLimit1, evLimit2, evLimit3:
@@ -394,7 +389,7 @@ func (m *Machine) slowMem(fn *ir.Function, c *cinstr, regs []int64, base uint64,
 // bbn is the basic-block count slab of a profiled stream: its cCount
 // cinstrs are the only profiling work in the loop, and dormant streams
 // contain none, so the dormant loop never reads bbn.
-func runCore(code []cinstr, blocks []blockDesc, bbn []uint64, regs []int64, base uint64, offsets []int64, stk, hot, hot2 *mem.Segment, pc int, cycles float64, steps, next, limit uint64) (int, float64, uint64, coreEvent) {
+func runCore(code []cinstr, bbn []uint64, regs []int64, base uint64, offsets []int64, stk, hot, hot2 *mem.Segment, pc int, cycles float64, steps, next, limit uint64) (int, float64, uint64, coreEvent) {
 	for {
 		if steps >= next {
 			return pc, cycles, steps, evLimit
@@ -1333,649 +1328,6 @@ func runCore(code []cinstr, blocks []blockDesc, bbn []uint64, regs []int64, base
 			}
 			cycles += c.cost3
 			pc++
-			continue
-
-		case cBlock:
-			// Block superinstruction (blocktier.go): the whole mined
-			// straight-line run executes with ONE pre-summed cost add and
-			// the step budget amortized into this dispatch's loop-head
-			// check. The bail below guarantees the budget cannot land
-			// inside the block (entry steps + d.steps <= limit); when it
-			// could, the plain copies at d.start replay the run with full
-			// per-constituent fidelity instead (steps-- undoes this loop
-			// head's increment; the plain leader re-increments). Mid-block
-			// events that don't depend on the budget — slow-path memory,
-			// divide-by-zero — exit with exact partial sums (prefix/psteps)
-			// at the PLAIN index of the faulting uop, so the driver's
-			// handlers, fault attribution and pc+1 resume work unchanged
-			// and execution rejoins the accelerated stream at the next
-			// redirected branch.
-			d := &blocks[c.a]
-			if d.steps > limit-steps+1 {
-				steps--
-				pc = int(d.start)
-				continue
-			}
-			uops := d.uops
-			npc := int(c.t0)
-			for j := 0; j < len(uops); j++ {
-				u := &uops[j]
-				switch u.op {
-				case cNop:
-				case cConst:
-					regs[u.dst] = u.imm
-				case cMov:
-					regs[u.dst] = regs[u.a]
-				case cAdd:
-					regs[u.dst] = regs[u.a] + regs[u.b]
-				case cSub:
-					regs[u.dst] = regs[u.a] - regs[u.b]
-				case cMul:
-					regs[u.dst] = regs[u.a] * regs[u.b]
-				case cDiv:
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst] = regs[u.a] / regs[u.b]
-				case cMod:
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst] = regs[u.a] % regs[u.b]
-				case cAnd:
-					regs[u.dst] = regs[u.a] & regs[u.b]
-				case cOr:
-					regs[u.dst] = regs[u.a] | regs[u.b]
-				case cXor:
-					regs[u.dst] = regs[u.a] ^ regs[u.b]
-				case cShl:
-					regs[u.dst] = regs[u.a] << (uint64(regs[u.b]) & 63)
-				case cShr:
-					regs[u.dst] = regs[u.a] >> (uint64(regs[u.b]) & 63)
-				case cNeg:
-					regs[u.dst] = -regs[u.a]
-				case cNot:
-					regs[u.dst] = ^regs[u.a]
-				case cSetZ:
-					if regs[u.a] == 0 {
-						regs[u.dst] = 1
-					} else {
-						regs[u.dst] = 0
-					}
-				case cEq:
-					regs[u.dst] = b2i(regs[u.a] == regs[u.b])
-				case cNe:
-					regs[u.dst] = b2i(regs[u.a] != regs[u.b])
-				case cLt:
-					regs[u.dst] = b2i(regs[u.a] < regs[u.b])
-				case cLe:
-					regs[u.dst] = b2i(regs[u.a] <= regs[u.b])
-				case cGt:
-					regs[u.dst] = b2i(regs[u.a] > regs[u.b])
-				case cGe:
-					regs[u.dst] = b2i(regs[u.a] >= regs[u.b])
-
-				case cLoad8:
-					addr := uint64(regs[u.a])
-					var v uint64
-					if hd, hb, he := hot.View(); has8(hb, he, addr) {
-						v = get8(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-						v = get8(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-						v = get8(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(v)
-				case cLoad4s:
-					addr := uint64(regs[u.a])
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(int32(v))
-				case cLoad4u:
-					addr := uint64(regs[u.a])
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(v)
-				case cLoad1s:
-					addr := uint64(regs[u.a])
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(int8(v))
-				case cLoad1u:
-					addr := uint64(regs[u.a])
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst] = int64(v)
-
-				case cStore8:
-					addr := uint64(regs[u.a])
-					if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-						put8(hd, hb, addr, uint64(regs[u.b]))
-					} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, uint64(regs[u.b]))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-						put8(d2, b2, addr, uint64(regs[u.b]))
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cStore4:
-					addr := uint64(regs[u.a])
-					if hd, hb, he := hot.View(); hot.Writable && has4(hb, he, addr) {
-						put4(hd, hb, addr, uint32(regs[u.b]))
-					} else if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-						put4(sd, sb, addr, uint32(regs[u.b]))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has4(b2, e2, addr) {
-						put4(d2, b2, addr, uint32(regs[u.b]))
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cStore1:
-					addr := uint64(regs[u.a])
-					if hd, hb, he := hot.View(); hot.Writable && has1(hb, he, addr) {
-						put1(hd, hb, addr, byte(regs[u.b]))
-					} else if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-						put1(sd, sb, addr, byte(regs[u.b]))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has1(b2, e2, addr) {
-						put1(d2, b2, addr, byte(regs[u.b]))
-					} else {
-						cycles += d.prefix[j]
-						steps += uint64(d.psteps[j])
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cAddrLocal:
-					regs[u.dst] = int64(base + uint64(offsets[u.sym]))
-				case cAddrConst:
-					regs[u.dst] = u.imm
-
-				case cConstAdd:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] + regs[u.b]
-				case cConstSub:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] - regs[u.b]
-				case cConstMul:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] * regs[u.b]
-				case cConstDiv:
-					regs[u.dst] = u.imm
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst2] = regs[u.a] / regs[u.b]
-				case cConstMod:
-					regs[u.dst] = u.imm
-					if regs[u.b] == 0 {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evDivZero
-					}
-					regs[u.dst2] = regs[u.a] % regs[u.b]
-				case cConstAnd:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] & regs[u.b]
-				case cConstOr:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] | regs[u.b]
-				case cConstXor:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] ^ regs[u.b]
-				case cConstShl:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] << (uint64(regs[u.b]) & 63)
-				case cConstShr:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] >> (uint64(regs[u.b]) & 63)
-
-				case cAddrLoad8:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has8(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get8(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-				case cAddrLoad4s:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has4(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get4(sd, sb, addr)
-					regs[u.dst2] = int64(int32(v))
-				case cAddrLoad4u:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has4(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get4(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-				case cAddrLoad1s:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has1(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get1(sd, sb, addr)
-					regs[u.dst2] = int64(int8(v))
-				case cAddrLoad1u:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has1(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get1(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-
-				case cAddrStore8:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, uint64(regs[u.b]))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddrStore4:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-						put4(sd, sb, addr, uint32(regs[u.b]))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddrStore1:
-					addr := base + uint64(offsets[u.sym])
-					regs[u.dst] = int64(addr)
-					if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-						put1(sd, sb, addr, byte(regs[u.b]))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cAddLoad8:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v uint64
-					if hd, hb, he := hot.View(); has8(hb, he, addr) {
-						v = get8(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-						v = get8(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-						v = get8(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(v)
-				case cAddLoad4s:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(int32(v))
-				case cAddLoad4u:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v uint32
-					if hd, hb, he := hot.View(); has4(hb, he, addr) {
-						v = get4(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has4(sb, se, addr) {
-						v = get4(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has4(b2, e2, addr) {
-						v = get4(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(v)
-				case cAddLoad1s:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(int8(v))
-				case cAddLoad1u:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					var v byte
-					if hd, hb, he := hot.View(); has1(hb, he, addr) {
-						v = get1(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has1(sb, se, addr) {
-						v = get1(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has1(b2, e2, addr) {
-						v = get1(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.dst2] = int64(v)
-
-				case cAddStore8:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.dst2])
-					if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-						put8(hd, hb, addr, val)
-					} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, val)
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-						put8(d2, b2, addr, val)
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddStore4:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.dst2])
-					if hd, hb, he := hot.View(); hot.Writable && has4(hb, he, addr) {
-						put4(hd, hb, addr, uint32(val))
-					} else if sd, sb, se := stk.View(); stk.Writable && has4(sb, se, addr) {
-						put4(sd, sb, addr, uint32(val))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has4(b2, e2, addr) {
-						put4(d2, b2, addr, uint32(val))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-				case cAddStore1:
-					sum := regs[u.a] + regs[u.b]
-					regs[u.dst] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.dst2])
-					if hd, hb, he := hot.View(); hot.Writable && has1(hb, he, addr) {
-						put1(hd, hb, addr, byte(val))
-					} else if sd, sb, se := stk.View(); stk.Writable && has1(sb, se, addr) {
-						put1(sd, sb, addr, byte(val))
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has1(b2, e2, addr) {
-						put1(d2, b2, addr, byte(val))
-					} else {
-						cycles += d.prefix[j] + u.cost
-						steps += uint64(d.psteps[j]) + 1
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cAddrAddrLoad8:
-					regs[u.dst] = int64(base + uint64(offsets[u.sym]))
-					addr := base + uint64(offsets[u.t0])
-					regs[u.a] = int64(addr)
-					sd, sb, se := stk.View()
-					if !has8(sb, se, addr) {
-						cycles += d.prefix[j] + u.cost + u.cost
-						steps += uint64(d.psteps[j]) + 2
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					v := get8(sd, sb, addr)
-					regs[u.dst2] = int64(v)
-
-				case cMulLoad8:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] * regs[u.b]
-					sum := regs[u.t0] + regs[u.dst2]
-					regs[u.t1] = sum
-					addr := uint64(sum)
-					var v uint64
-					if hd, hb, he := hot.View(); has8(hb, he, addr) {
-						v = get8(hd, hb, addr)
-					} else if sd, sb, se := stk.View(); has8(sb, se, addr) {
-						v = get8(sd, sb, addr)
-					} else if d2, b2, e2 := hot2.View(); has8(b2, e2, addr) {
-						v = get8(d2, b2, addr)
-					} else {
-						cycles += d.prefix[j] + u.cost + u.cost2 + u.cost
-						steps += uint64(d.psteps[j]) + 3
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-					regs[u.sym] = int64(v)
-				case cMulStore8:
-					regs[u.dst] = u.imm
-					regs[u.dst2] = regs[u.a] * regs[u.b]
-					sum := regs[u.t0] + regs[u.dst2]
-					regs[u.t1] = sum
-					addr := uint64(sum)
-					val := uint64(regs[u.sym])
-					if hd, hb, he := hot.View(); hot.Writable && has8(hb, he, addr) {
-						put8(hd, hb, addr, val)
-					} else if sd, sb, se := stk.View(); stk.Writable && has8(sb, se, addr) {
-						put8(sd, sb, addr, val)
-					} else if d2, b2, e2 := hot2.View(); hot2.Writable && has8(b2, e2, addr) {
-						put8(d2, b2, addr, val)
-					} else {
-						cycles += d.prefix[j] + u.cost + u.cost2 + u.cost
-						steps += uint64(d.psteps[j]) + 3
-						return int(d.start) + j, cycles, steps, evMemSlow
-					}
-
-				case cJmp:
-					npc = int(u.t0)
-				case cBr:
-					if regs[u.a] != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cEqBr:
-					v := b2i(regs[u.a] == regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cNeBr:
-					v := b2i(regs[u.a] != regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cLtBr:
-					v := b2i(regs[u.a] < regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cLeBr:
-					v := b2i(regs[u.a] <= regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cGtBr:
-					v := b2i(regs[u.a] > regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cGeBr:
-					v := b2i(regs[u.a] >= regs[u.b])
-					regs[u.dst] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstEqBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] == regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstNeBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] != regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstLtBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] < regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstLeBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] <= regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstGtBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] > regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-				case cConstGeBr:
-					regs[u.dst] = u.imm
-					v := b2i(regs[u.a] >= regs[u.b])
-					regs[u.dst2] = v
-					if v != 0 {
-						npc = int(u.t0)
-					} else {
-						npc = int(u.t1)
-					}
-
-				default:
-					// Unreachable: the miner only admits uops with a case
-					// above. Surface as evBad at the plain index.
-					cycles += d.prefix[j]
-					steps += uint64(d.psteps[j])
-					return int(d.start) + j, cycles, steps, evBad
-				}
-			}
-			cycles += d.cost
-			steps += d.steps - 1
-			pc = npc
 			continue
 
 		case cCount:

@@ -49,7 +49,6 @@ type poolKey struct {
 	costs     Costs
 	stepLimit uint64
 	maxDepth  int
-	heapSize  uint64
 	tier      ExecTier
 	cache     *CodeCache
 	dualStack bool
@@ -82,7 +81,7 @@ func NewMachinePool(maxPerKey int) *MachinePool {
 // keyFor computes the pool key New(prog, engine, _, opts) would construct
 // under.
 func keyFor(prog *ir.Program, engine layout.Engine, opts *Options) poolKey {
-	o := normalizeOptions(engine, opts)
+	o := normalizeOptions(opts)
 	cache := o.CodeCache
 	if cache == nil {
 		cache = defaultCodeCache
@@ -93,7 +92,6 @@ func keyFor(prog *ir.Program, engine layout.Engine, opts *Options) poolKey {
 		costs:     costsOf(&o),
 		stepLimit: o.StepLimit,
 		maxDepth:  o.MaxCallDepth,
-		heapSize:  o.HeapSize,
 		tier:      resolveTier(&o),
 		cache:     cache,
 		dualStack: dualStack,
@@ -150,7 +148,6 @@ func (p *MachinePool) Put(m *Machine) {
 		costs:     m.costs,
 		stepLimit: m.stepLimit,
 		maxDepth:  m.maxDepth,
-		heapSize:  m.heap.Size(),
 		tier:      m.tier,
 		cache:     m.codeCache,
 		dualStack: m.ustack != nil,

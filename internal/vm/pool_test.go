@@ -68,8 +68,9 @@ func sameRun(t *testing.T, label string, a, b runState) {
 // TestResetMatchesNew pins the reuse differential at the vm level: a
 // Machine that ran once and was Reset must reproduce a fresh Machine's
 // run bit-for-bit — result, stats (modeled cycles included) and final
-// memory image — across all three execution tiers, for both a baseline
-// and a randomizing engine, with jitter enabled.
+// memory image — on both execution tiers (block runs the TierBlock alias
+// of the compiled tier), for both a baseline and a randomizing engine,
+// with jitter enabled.
 func TestResetMatchesNew(t *testing.T) {
 	prog := compile.MustCompile("pool.c", poolProgSrc)
 	for _, tier := range []struct {
@@ -238,7 +239,6 @@ func TestResetRejectsIncompatible(t *testing.T) {
 		"steplimit": {TRNG: rng.SeededTRNG(2), StepLimit: 777},
 		"depth":     {TRNG: rng.SeededTRNG(2), MaxCallDepth: 3},
 		"costs":     {TRNG: rng.SeededTRNG(2), Costs: &vm.Costs{ALU: 2}},
-		"heap":      {TRNG: rng.SeededTRNG(2), HeapSize: 1 << 20},
 		"tier":      {TRNG: rng.SeededTRNG(2), Exec: vm.TierSwitch},
 	}
 	for name, opts := range cases {

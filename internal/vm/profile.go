@@ -10,7 +10,7 @@
 // Hot-path discipline: the Machine accumulates into plain per-Machine
 // fields and expands/flushes them into the shared mutex-protected Profile
 // only at Run/CallByName exit. The switch tier adds a weighted per-op
-// count per step behind a never-taken nil check. The compiled tiers run
+// count per step behind a never-taken nil check. The compiled tier runs
 // one dispatch loop for dormant and profiled Machines alike: a profiled
 // Machine runs its own stream variant with a zero-step, zero-cost cCount
 // at every basic-block leader (countFunc), so the loop's only profiling
@@ -31,8 +31,8 @@
 // Stats.Instructions and row cycles match Stats.Cycles. A constituent
 // that consumed its step counts; one that faulted (divide-by-zero,
 // memory fault) counts at zero cycles, as Stats charged it. The switch
-// tier attributes in-flight calls before descending. The compiled tiers
-// settle a basic block the run leaves early — step limit (mid-group
+// tier attributes in-flight calls before descending. The compiled tier
+// settles a basic block the run leaves early — step limit (mid-group
 // included), cancellation, fault, or a callee error unwinding past a
 // call — by taking back the block's count and charging only what ran
 // (profLeave). TestCancelledRunProfileFlush, TestFaultedRunProfileFlush
@@ -143,7 +143,6 @@ var copNames = [numCops]string{
 	cAddStore1: "add.store1",
 	cMulLoad8:  "mul.load8", cMulStore8: "mul.store8",
 	cAddrAddrLoad8: "addr.addr.load8",
-	cBlock:         "block",
 	cCount:         "count",
 }
 
@@ -207,11 +206,8 @@ var copConstituents = [numCops][]ir.Op{
 	cMulLoad8:      {ir.OpConst, ir.OpMul, ir.OpAdd, ir.OpLoad},
 	cMulStore8:     {ir.OpConst, ir.OpMul, ir.OpAdd, ir.OpStore},
 	cAddrAddrLoad8: {ir.OpAddrLocal, ir.OpAddrLocal, ir.OpLoad},
-	// cBlock and cCount expand to nothing and are never counted: profiles
-	// charge basic-block counts to the plain cops a block covers, which
-	// is the same attribution whether the block tier ran them as a cBlock
-	// or one by one.
-	cBlock: {},
+	// cCount expands to nothing and is never counted: profiles charge its
+	// basic-block count to the cops the block covers.
 	cCount: {},
 }
 
@@ -397,7 +393,7 @@ func addCounterLocked(p *Profile, name string, n uint64) {
 	}
 }
 
-// expandBlocks charges the compiled tiers' basic-block counts to the
+// expandBlocks charges the compiled tier's basic-block counts to the
 // blocks' static cops: every constituent of every cop counts once per
 // block entry, weighted by the function's jitter factor. Zeroes profBB.
 func (m *Machine) expandBlocks() {
@@ -431,11 +427,8 @@ func (m *Machine) expandBlocks() {
 // function's jitter factor.
 func (m *Machine) profLeave(cf *compiledFunc, pc, ran, charged int, costMul float64) {
 	code := cf.code
-	switch code[pc].op {
-	case cCount:
+	if code[pc].op == cCount {
 		return // stopped before entering the block
-	case cBlock:
-		pc = int(cf.blocks[code[pc].a].start) // stopped before the block ran
 	}
 	start := pc
 	for code[start-1].op != cCount {

@@ -91,7 +91,7 @@ var profileTiers = []struct {
 }{
 	{"switch", vm.TierSwitch},
 	{"compiled", vm.TierCompiled},
-	{"block", vm.TierBlock},
+	{"block", vm.TierBlock}, // alias of TierCompiled; see vm.TierBlock
 }
 
 // profileRun executes the probe once, optionally profiled.

@@ -23,7 +23,7 @@ import (
 // fault-injection schedules keyed on TRNG call indices), the derived
 // canary/shadow keys and the jitter table are bit-identical to a fresh
 // construction. The reuse differential and leak tests in the harness pin
-// this across every registered engine and all three execution tiers.
+// this across every registered engine and both execution tiers.
 
 // ErrNotSealed reports a Reset on a Machine whose Memory was never sealed
 // (SealForReuse): without a pristine baseline the restore would be unsound.
@@ -53,7 +53,7 @@ func (m *Machine) SealForReuse() {
 // reset failure: exactly like New, it marks the Machine with a
 // construction fault that the next Run surfaces as *EntropyFault.
 func (m *Machine) Reset(engine layout.Engine, env *Env, opts *Options) (restored uint64, err error) {
-	o := normalizeOptions(engine, opts)
+	o := normalizeOptions(opts)
 	if c := costsOf(&o); c != m.costs {
 		return 0, fmt.Errorf("vm: reset with different cost model")
 	}
@@ -76,9 +76,6 @@ func (m *Machine) Reset(engine layout.Engine, env *Env, opts *Options) (restored
 	_, dualStack := engine.(layout.DualStacker)
 	if dualStack != (m.ustack != nil) {
 		return 0, fmt.Errorf("vm: reset with different stack-segment class (dual-stack %v)", dualStack)
-	}
-	if m.heap != nil && o.HeapSize != m.heap.Size() {
-		return 0, fmt.Errorf("vm: reset with different heap size (%d != %d)", o.HeapSize, m.heap.Size())
 	}
 	if env == nil {
 		env = &Env{}

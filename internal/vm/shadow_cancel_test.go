@@ -44,8 +44,8 @@ long main() {
 // test for cancellation under the shadowstack engine: when RunContext's
 // watchdog kills a run while nested calls are live, every unwound frame
 // must pop its return token (popFrame truncates to savedShadow), leaving
-// the shadow stack empty and the machine fully re-runnable — on all three
-// executor tiers.
+// the shadow stack empty and the machine fully re-runnable — on both
+// executor tiers (block runs the TierBlock alias of the compiled tier).
 func TestShadowStackBalancedAfterWatchdogCancel(t *testing.T) {
 	prog := compile.MustCompile("shadowspin.c", shadowSpinSrc)
 	for _, tc := range []struct {

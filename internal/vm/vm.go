@@ -158,49 +158,44 @@ func DefaultCosts() Costs {
 	}
 }
 
-// ExecTier selects the interpreter implementation. Every tier executes the
+// ExecTier selects the interpreter implementation. Both tiers execute the
 // same IR with bit-identical results, cycle accounting and faults (the
 // differential test and the invariance goldens enforce this); the compiled
-// tiers are simply faster.
+// tier is simply faster.
 type ExecTier int
 
 const (
-	// TierAuto consults SMOKESTACK_EXEC and defaults to the block tier.
+	// TierAuto consults SMOKESTACK_EXEC and defaults to the compiled tier.
 	TierAuto ExecTier = iota
 	// TierCompiled executes pre-decoded, fused cinstr streams (compile.go /
-	// exec_compiled.go), sharing compiled programs through a CodeCache. It
-	// is the block tier's fallback and is selectable only through
-	// Options.Exec, not SMOKESTACK_EXEC.
+	// exec_compiled.go), sharing compiled programs through a CodeCache.
 	TierCompiled
 	// TierSwitch executes raw ir.Instr through the legacy switch
-	// interpreter — the differential oracle the other tiers are checked
+	// interpreter — the differential oracle the compiled tier is checked
 	// against.
 	TierSwitch
-	// TierBlock executes the threaded stream with block superinstructions
-	// layered on top (blocktier.go): straight-line runs dispatch as one
-	// cinstr with a pre-summed cost and an amortized step check,
-	// bit-identical to the other tiers by construction. Falls back to
-	// TierCompiled semantics when the cost table is not integer-valued or
-	// StepLimit exceeds 2^32 (see blocktier.go).
-	TierBlock
 )
 
-// execTierEnv is the environment variable consulted by TierAuto. The
-// recognized values are "switch" and "block"; anything else (including
-// unset) selects the block tier. Read per Machine, not cached at init, so
-// tests can flip it with t.Setenv.
+// TierBlock is an alias of TierCompiled. It named the block-superinstruction
+// tier, which no longer beat the compiled tier's threaded stream and was
+// removed; the name stays only because the perfbench module still
+// constructs Machines with it.
+const TierBlock = TierCompiled
+
+// execTierEnv is the environment variable consulted by TierAuto. The one
+// recognized value is "switch"; anything else (including unset) selects
+// the compiled tier. Read per Machine, not cached at init, so tests can
+// flip it with t.Setenv.
 const execTierEnv = "SMOKESTACK_EXEC"
 
 // ParseExecTier maps a SMOKESTACK_EXEC-style name to its tier: "switch",
-// "block", or "" / "auto" for TierAuto.
+// or "" / "auto" for TierAuto.
 func ParseExecTier(s string) (ExecTier, bool) {
 	switch s {
 	case "", "auto":
 		return TierAuto, true
 	case "switch":
 		return TierSwitch, true
-	case "block":
-		return TierBlock, true
 	}
 	return TierAuto, false
 }
@@ -224,9 +219,7 @@ type Options struct {
 	JitterAmp float64
 	// JitterSeed seeds the per-function jitter factors.
 	JitterSeed uint64
-	// HeapSize overrides the heap segment size (default 64 MiB).
-	HeapSize uint64
-	// Exec selects the execution tier (default TierAuto: block unless
+	// Exec selects the execution tier (default TierAuto: compiled unless
 	// SMOKESTACK_EXEC says otherwise).
 	Exec ExecTier
 	// CodeCache overrides the process-wide compiled-code cache (tests use
@@ -246,7 +239,7 @@ type Options struct {
 	// accumulates per-opcode and per-category attribution in plain fields
 	// and flushes into Prof at Run/CallByName exit (see profile.go). nil is
 	// the dormant default: the switch tier pays a never-taken branch per
-	// site, and the compiled tiers run streams without count cinstrs. The
+	// site, and the compiled tier runs streams without count cinstrs. The
 	// cycle accumulator itself is never touched either way, so profiled
 	// runs remain bit-identical to dormant ones.
 	Prof *Profile
@@ -403,7 +396,7 @@ type Machine struct {
 	// Cycle-attribution accumulators (see profile.go). All nil/zero when
 	// no Profile is attached; the switch tier's hot path only ever tests
 	// prof for nil. profW/profN hold weighted per-op counts: the switch
-	// tier's per step, the compiled tiers' expanded at flush from profBB,
+	// tier's per step, the compiled tier's expanded at flush from profBB,
 	// the per-basic-block counts the profiled stream's count cinstrs
 	// accumulate. profCops counts cop dispatches (the fused.* counters).
 	// profCat buckets instrumentation cycles captured in call()/hostCall.
@@ -464,12 +457,15 @@ func supNext(steps, limit uint64) uint64 {
 	return next
 }
 
+// heapSize is the size of every Machine's heap segment. It fits below the
+// lowest stack segment, the unsafe stack of dual-stack engines included.
+const heapSize = 64 << 20
+
 // normalizeOptions applies New's defaulting rules to opts (without
 // mutating the caller's struct): zero values become the documented
-// defaults and the heap size is clamped below the lowest stack segment.
-// Shared with the pool key computation and Machine.Reset, which must both
-// see exactly the options a corresponding New would run with.
-func normalizeOptions(engine layout.Engine, opts *Options) Options {
+// defaults. Shared with the pool key computation and Machine.Reset, which
+// must both see exactly the options a corresponding New would run with.
+func normalizeOptions(opts *Options) Options {
 	o := Options{}
 	if opts != nil {
 		o = *opts
@@ -483,20 +479,6 @@ func normalizeOptions(engine layout.Engine, opts *Options) Options {
 	if o.TRNG == nil {
 		o.TRNG = rng.HostTRNG
 	}
-	if o.HeapSize == 0 {
-		o.HeapSize = 64 << 20
-	}
-	// Clamp the heap below the lowest stack segment: an oversized request
-	// shrinks to the available address range instead of failing
-	// construction. Dual-stack engines add the unsafe segment below the
-	// main stack, lowering the ceiling.
-	stackFloor := uint64(mem.StackTop - mem.StackSize)
-	if _, ok := engine.(layout.DualStacker); ok {
-		stackFloor = uint64(mem.UnsafeStackTop - mem.UnsafeStackSize)
-	}
-	if maxHeap := stackFloor - mem.HeapBase; o.HeapSize > maxHeap {
-		o.HeapSize = maxHeap
-	}
 	return o
 }
 
@@ -508,32 +490,22 @@ func costsOf(o *Options) Costs {
 	return DefaultCosts()
 }
 
-// resolveTier resolves TierAuto (environment, default block) and applies
-// the block tier's step-limit fallback, yielding the tier the Machine
-// actually runs.
+// resolveTier resolves TierAuto (environment, default compiled), yielding
+// the tier the Machine actually runs.
 func resolveTier(o *Options) ExecTier {
-	tier := o.Exec
-	if tier == TierAuto {
-		if t, ok := ParseExecTier(os.Getenv(execTierEnv)); ok && t != TierAuto {
-			tier = t
-		} else {
-			tier = TierBlock
-		}
+	if o.Exec != TierAuto {
+		return o.Exec
 	}
-	// The block tier's exact pre-summed costs need the in-core cycle
-	// accumulator to stay in float64's exact-integer range; huge step
-	// limits fall back to the threaded tier's per-constituent accounting
-	// (bit-identical, just unaccelerated).
-	if tier == TierBlock && o.StepLimit > blockMaxStepLimit {
-		tier = TierCompiled
+	if t, ok := ParseExecTier(os.Getenv(execTierEnv)); ok && t != TierAuto {
+		return t
 	}
-	return tier
+	return TierCompiled
 }
 
 // New prepares a Machine for one run of prog under engine. The engine's
 // NewRun is invoked (drawing per-run randomness such as the stack bias).
 func New(prog *ir.Program, engine layout.Engine, env *Env, opts *Options) *Machine {
-	o := normalizeOptions(engine, opts)
+	o := normalizeOptions(opts)
 	if env == nil {
 		env = &Env{}
 	}
@@ -602,7 +574,7 @@ func New(prog *ir.Program, engine layout.Engine, env *Env, opts *Options) *Machi
 
 	// The heap's 64 MiB backing is materialized on first access: runs that
 	// never touch the heap (most workloads) skip the allocation entirely.
-	if m.heap, err = m.Mem.MapLazy("heap", mem.HeapBase, o.HeapSize, true); err != nil {
+	if m.heap, err = m.Mem.MapLazy("heap", mem.HeapBase, heapSize, true); err != nil {
 		m.initErr = fmt.Errorf("vm: program image: %w", err)
 		return m
 	}
@@ -681,10 +653,7 @@ func (m *Machine) arm(engine layout.Engine, env *Env, o *Options) {
 		m.addrExtra = ae
 		m.counted = counted
 		m.buildCostTable()
-		switch m.tier {
-		case TierBlock:
-			m.ccode = m.codeCache.blockCompiled(m.Prog, m.costs, ae, counted, m.globalAddr, m.dataAddr)
-		case TierCompiled:
+		if m.tier == TierCompiled {
 			m.ccode = m.codeCache.compiled(m.Prog, m.costs, ae, counted, m.globalAddr, m.dataAddr)
 		}
 	}
@@ -699,7 +668,7 @@ func (m *Machine) arm(engine layout.Engine, env *Env, o *Options) {
 		if dp, ok := engine.(DefenseProfiler); ok {
 			m.profDefense = dp
 		}
-		// The compiled tiers' basic-block count slab. Allocated once per
+		// The compiled tier's basic-block count slab. Allocated once per
 		// Machine (and retained across resets), so attaching a profile adds
 		// zero per-step and zero per-call allocations (TestProfileAllocs
 		// pins this).

@@ -262,10 +262,10 @@ long main() {
 func TestMallocExhaustionReturnsNull(t *testing.T) {
 	v, _, err := runSrc(t, `
 long main() {
-	char *p = malloc(1024 * 1024);   // heap is 1 MiB: second malloc fails
-	char *q = malloc(1024 * 1024);
+	char *p = malloc(40 * 1024 * 1024);   // heap is 64 MiB: second malloc fails
+	char *q = malloc(40 * 1024 * 1024);
 	return (p != 0) * 10 + (q == 0);
-}`, nil, &vm.Options{TRNG: rng.SeededTRNG(1), HeapSize: 1 << 20})
+}`, nil, &vm.Options{TRNG: rng.SeededTRNG(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,12 @@ long main() {
 // effectively unbounded step limit. Construction is separate from
 // RunContext so tests start their cancellation clocks after vm.New: the
 // watchdog contract being pinned here covers execution, not one-time
-// lowering and block-formation latency.
+// lowering latency.
 func newSpin(t *testing.T, tier vm.ExecTier) *vm.Machine {
 	t.Helper()
 	prog := compile.MustCompile("spin.c", spinSrc)
 	// 2^32 steps is still hours of simulated work — effectively unbounded
-	// for a watchdog test — while staying inside the block tier's
-	// exactness cap (a larger limit would silently fall back to threaded).
+	// for a watchdog test.
 	return vm.New(prog, layout.NewFixed(), &vm.Env{}, &vm.Options{
 		TRNG:      rng.SeededTRNG(1),
 		StepLimit: 1 << 32,
@@ -51,7 +50,7 @@ var watchdogTiers = []struct {
 }{
 	{"switch", vm.TierSwitch},
 	{"compiled", vm.TierCompiled},
-	{"block", vm.TierBlock},
+	{"block", vm.TierBlock}, // alias of TierCompiled; see vm.TierBlock
 }
 
 // TestWatchdogCancelsInfiniteLoop pins the supervised-execution contract

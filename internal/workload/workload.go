@@ -58,8 +58,8 @@ func (w *Workload) Prog() *ir.Program {
 // Prewarm compiles every registered workload using up to workers
 // concurrent compilers (<= 0 selects one per workload). Experiment
 // runners call it before fanning out cells so no cell pays front-end
-// compile latency mid-measurement; threaded lowering and block formation
-// are single linear passes the first Machine of each program pays.
+// compile latency mid-measurement; threaded lowering is a single linear
+// pass the first Machine of each program pays.
 func Prewarm(workers int) {
 	ws := All()
 	if workers <= 0 || workers > len(ws) {

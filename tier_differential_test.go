@@ -1,16 +1,15 @@
-// Differential oracle for the accelerated execution tiers: every workload
-// program plus a batch of generated MiniC snippets runs under each
-// candidate tier (the threaded-code compiled tier and the block tier)
-// and the legacy switch interpreter, across all registered layout engine
-// families, and the executions must agree on everything an
-// experiment can observe — return value, every Stats counter (Cycles as
-// exact float64 bits), faults (by message, which bakes in function and IR
-// pc), and a digest of final memory. The switch interpreter is the
-// reference semantics; any divergence is a compiler or executor bug, never
-// noise. The generated snippets exist to reach idioms the curated
-// workloads underuse: 4- and 1-byte array traffic, divide/modulo feeding
-// the fused const forms, deep compare/branch chains, and mid-fusion
-// step-limit landings (swept explicitly at the end).
+// Differential oracle for the compiled execution tier: every workload
+// program plus a batch of generated MiniC snippets runs under the
+// threaded-code compiled tier and the legacy switch interpreter, across
+// all registered layout engine families, and the executions must agree on
+// everything an experiment can observe — return value, every Stats counter
+// (Cycles as exact float64 bits), faults (by message, which bakes in
+// function and IR pc), and a digest of final memory. The switch
+// interpreter is the reference semantics; any divergence is a compiler or
+// executor bug, never noise. The generated snippets exist to reach idioms
+// the curated workloads underuse: 4- and 1-byte array traffic,
+// divide/modulo feeding the fused const forms, deep compare/branch chains,
+// and mid-fusion step-limit landings (swept explicitly at the end).
 
 package repro
 
@@ -40,10 +39,9 @@ var differentialEngines = []string{
 	"cleanstack", "shadowstack", "stackato",
 }
 
-// candidateTiers are the accelerated executors checked against the switch
-// oracle. The block tier layers block superinstructions on top of the
-// compiled stream, so it exercises both the peephole fusion and the block
-// overlay accounting in one run.
+// candidateTiers are the executors checked against the switch oracle. The
+// block row runs vm.TierBlock, the alias of TierCompiled that the
+// perfbench module still names; it goes with the alias.
 var candidateTiers = []struct {
 	name string
 	tier vm.ExecTier
