@@ -83,9 +83,9 @@ bench:
 # snapshots are recorded on whatever host ran `make bench`, and the
 # host-bound benchmarks cannot diff meaningfully across machines —
 # Table1/rdrand measures the CPU's RDRAND latency (4-16ns depending on
-# part), and the attack benchmarks (Pentest/*, CVE/*) spend ~95% of their
-# time zeroing a fresh heap per attempt and swing ±40% with host allocator
-# state. Within scope, 35% leaves headroom for scheduler noise while a
+# part), and the attack benchmarks (Pentest/*, CVE/*) time whole attack
+# attempts — a probe and an attack run, each on a fresh Machine — not
+# dispatch. Within scope, 35% leaves headroom for scheduler noise while a
 # genuine dispatch-level regression shows up as 1.5-2x. The -zeroalloc
 # gate additionally requires the pooled reset path to report 0 allocs/op
 # and 0 B/op in the new snapshot — allocation creep there is a regression

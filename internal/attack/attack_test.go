@@ -2,6 +2,7 @@ package attack_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/attack"
@@ -196,5 +197,35 @@ func TestProbeReturnsAllFrames(t *testing.T) {
 	}
 	if off, ok := b.Off("chkPeerName", "allNames"); !ok || off < 0 {
 		t.Errorf("probe: bad allNames offset %d ok=%v", off, ok)
+	}
+}
+
+// TestPentestAttemptAllocation pins on-demand backing on the attack path:
+// a direct-heap attempt (a probe and an attack run, each on a fresh
+// Machine) allocates kilobytes, not the 64 MiB heap and 8 MiB stack its
+// Machines map.
+func TestPentestAttemptAllocation(t *testing.T) {
+	var s *attack.Scenario
+	for _, c := range attack.PentestMatrix() {
+		if c.Name == "direct-heap" {
+			s = c
+		}
+	}
+	if s == nil {
+		t.Fatal("no direct-heap scenario")
+	}
+	eng := layout.NewSmokestack(s.Program.Prog, rng.NewAESCtr(10, rng.SeededTRNG(3)), nil)
+	d := &attack.Deployment{Program: s.Program, Engine: eng, TRNG: rng.SeededTRNG(4)}
+	if _, err := s.Attempt(d); err != nil { // warm the compile and layout caches
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Attempt(d); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("one attempt allocated %d bytes", n)
 	}
 }

@@ -305,7 +305,7 @@ func Run(cfg Config, names ...string) ([]exp.Record, error) {
 			exps = append(exps, e)
 		}
 	}
-	cfg.registerGauges()
+	defer cfg.registerGauges()()
 	// Compile every workload up front with the same parallelism budget so
 	// cells measure execution, not compilation.
 	workload.Prewarm(cfg.Parallel)

@@ -346,7 +346,7 @@ func RunSession(cfg Config, spec SessionSpec) ([]exp.Record, error) {
 
 // DrainMachinePool releases every Machine retained by the shared pool —
 // the service's idle-memory bound: a quiet server keeps compiled programs
-// but not their 8 MiB stack segments.
+// but not the memory their Machines back.
 func DrainMachinePool() { machinePool.Drain() }
 
 // RegisterGauges points a registry at the shared cache/pool tier (the

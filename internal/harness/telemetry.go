@@ -307,21 +307,20 @@ var wallBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60}
 // process-wide compiled-code cache, and mirrors code-cache compiles into
 // the trace — in span mode under the trace root's compile span, as
 // SessionCells records an inline program's compile. Idempotent per
-// Config; called once per Run.
-func (c Config) registerGauges() {
+// Config; called once per Run, which calls the returned func when it
+// returns so later compiles stay out of the finished Run's trace.
+func (c Config) registerGauges() (unhook func()) {
+	unhook = func() {}
 	reg, tr := c.Metrics, c.Trace
-	if reg == nil && tr == nil {
-		return
-	}
 	if tr != nil {
 		// The zero Span (no TraceID) keeps flat traces byte-identical.
 		sp := telemetry.NewSpan(c.TraceID).Child("compile")
-		vm.DefaultCodeCache().OnCompile(func(prog string, funcs int) {
+		unhook = vm.DefaultCodeCache().OnCompile(func(prog string, funcs int) {
 			tr.SpanEvent("compile", "", sp, map[string]any{"prog": prog, "funcs": funcs})
 		})
 	}
 	if reg == nil {
-		return
+		return unhook
 	}
 	reg.SetGauge("layout.plancache.len", func() float64 { return float64(planCache.Len()) })
 	reg.SetGauge("layout.plancache.hits", func() float64 { h, _ := planCache.Stats(); return float64(h) })
@@ -338,5 +337,7 @@ func (c Config) registerGauges() {
 	reg.SetGauge("vm.pool.puts", func() float64 { return float64(machinePool.Stats().Puts) })
 	reg.SetGauge("vm.pool.drops", func() float64 { return float64(machinePool.Stats().Drops) })
 	reg.SetGauge("vm.pool.retained", func() float64 { return float64(machinePool.Stats().Retained) })
+	reg.SetGauge("vm.pool.retained_bytes", func() float64 { return float64(machinePool.Stats().RetainedBytes) })
 	reg.SetGauge("mem.snapshot.restored_bytes", func() float64 { return float64(machinePool.Stats().RestoredBytes) })
+	return unhook
 }

@@ -5,6 +5,10 @@
 // succeed unconditionally — an out-of-bounds array write that stays inside
 // the stack segment silently corrupts neighbouring data, exactly the C
 // behaviour DOP attacks rely on.
+//
+// Segments are backed on demand: mapping one reserves its whole address
+// range, but host bytes are allocated only around the addresses accessed,
+// so a 64 MiB heap or an 8 MiB stack costs what a run touches of it.
 package mem
 
 import (
@@ -70,26 +74,33 @@ func (e *UnterminatedString) Error() string {
 	return fmt.Sprintf("unterminated string: no NUL within %d bytes of 0x%x", e.Limit, e.Addr)
 }
 
-// Segment is one contiguous address range. Large segments may be created
-// lazily (AddSegmentLazy): the address range is reserved and resolvable
-// immediately, but the zeroed backing bytes are only allocated on first
-// access — runs that never touch the segment never pay for it.
+// Segment is one contiguous address range, backed on demand. Map reserves
+// the logical range [Base, End()) at once — every address in it resolves,
+// reads and (if Writable) writes exactly as in an eagerly allocated
+// segment — but allocates host bytes only for the backed window
+// [dataBase, dataEnd). The window starts empty; the first access that
+// misses it backs the backChunk-aligned chunk holding the access, and each
+// later miss at least doubles the window toward it (clamped to the logical
+// range, copying what was backed). Bytes outside the window have never
+// been written and read as the zeros they are. Growth happens only in
+// FindSegment's segment walk, where every direct accessor's and
+// interpreter core's miss already lands, so no hot path checks for it.
 type Segment struct {
 	Name     string
 	Base     uint64
 	Writable bool
-	data     []byte
+	data     []byte // backing of [dataBase, dataEnd)
 	end      uint64 // Base + size: the segment's logical extent
-	// dataEnd is Base + len(data): the extent actually backed by bytes.
-	// Equal to end once materialized; Base while a lazy backing is pending,
-	// so the hot-path contains check fails and callers fall through to the
-	// materializing FindSegment walk.
-	dataEnd uint64
+	// dataBase/dataEnd bound the backed window. Equal (both Base) until
+	// the first access, so the hot-path contains check fails and callers
+	// fall through to the backing FindSegment walk.
+	dataBase, dataEnd uint64
 	// touchLo/touchHi bound the touched window [touchLo, touchHi): every
 	// byte that may differ from the segment's pristine contents lies inside
-	// it. For read-only segments the window is pinned to the full backed
-	// extent. For writable segments it starts empty (touchLo == touchHi)
-	// and widens monotonically: every write path widens it before storing,
+	// it, and it always lies inside the backed window. For read-only
+	// segments the window is pinned to the backed window. For writable
+	// segments it starts empty (touchLo == touchHi) and widens
+	// monotonically: every write path widens it before storing,
 	// and FindSegment widens it on any resolution so interpreter fast paths
 	// that subsequently go through View stay fast. The window is what makes
 	// copy-on-reset cheap — Restore only rewrites the touched span — and it
@@ -98,15 +109,66 @@ type Segment struct {
 	// store outside the window fails the view bounds probe, takes the slow
 	// path once, and the slow path widens the window.
 	touchLo, touchHi uint64
-	// viewData is data[touchLo-Base:], kept in sync by widen/materialize so
+	// viewData is data[touchLo-dataBase:], kept in sync by widen/back so
 	// View stays a three-field return (it must inline into interpreter
 	// cores). nil while the window is empty.
 	viewData []byte
 	// pristine is the sealed baseline image (Seal). nil means the baseline
 	// is all-zero bytes, which holds for every segment that was untouched
 	// when sealed (stack, heap); segments carrying an initialization image
-	// (globals) get a full copy.
+	// (globals) are fully backed and get a full copy.
 	pristine []byte
+}
+
+// backChunk is the backing a segment gets at its first miss: a few stack
+// frames or heap blocks, so a short run backs kilobytes, not the segment.
+const backChunk = 4 << 10
+
+// grow extends the backed window to cover [addr, addr+n), a range inside
+// the logical extent: a first backing is the backChunk-aligned chunk
+// holding the access, a later one at least doubles the window toward it.
+func (s *Segment) grow(addr uint64, n int) {
+	// Offsets from Base, so the doubling arithmetic cannot wrap.
+	lo, hi := addr-s.Base, addr-s.Base+uint64(n)
+	blo, bhi := s.dataBase-s.Base, s.dataEnd-s.Base
+	if size := bhi - blo; size == 0 {
+		lo -= lo % backChunk
+		hi = max(hi, lo+backChunk)
+	} else {
+		if lo < blo {
+			lo = min(lo, bhi-min(2*size, bhi))
+		} else {
+			lo = blo
+		}
+		if hi > bhi {
+			hi = max(hi, blo+2*size)
+		} else {
+			hi = bhi
+		}
+	}
+	s.back(s.Base+lo, s.Base+min(hi, s.Size()))
+}
+
+// back re-backs the segment over [lo, hi), a range covering the backed
+// window, copying the backed bytes and re-aiming the window views.
+func (s *Segment) back(lo, hi uint64) {
+	data := make([]byte, hi-lo)
+	if len(s.data) > 0 {
+		copy(data[s.dataBase-lo:], s.data)
+	}
+	s.data, s.dataBase, s.dataEnd = data, lo, hi
+	if !s.Writable {
+		s.pinWindow()
+	} else if s.touchHi > s.touchLo {
+		s.viewData = data[s.touchLo-lo:]
+	}
+}
+
+// backAll backs the whole logical extent.
+func (s *Segment) backAll() {
+	if s.dataBase != s.Base || s.dataEnd != s.end {
+		s.back(s.Base, s.end)
+	}
 }
 
 // touch widens the touched window to cover [addr, addr+n). Callers
@@ -134,7 +196,7 @@ func (s *Segment) widen(addr, end uint64) {
 			s.touchHi = end
 		}
 	}
-	s.viewData = s.data[s.touchLo-s.Base:]
+	s.viewData = s.data[s.touchLo-s.dataBase:]
 }
 
 // resetWindow empties a writable segment's touched window.
@@ -143,10 +205,10 @@ func (s *Segment) resetWindow() {
 	s.viewData = nil
 }
 
-// pinWindow pins the window to the full backed extent (read-only segments,
-// and writable segments whose raw backing has been handed out via Bytes).
+// pinWindow pins the window to the backed window (read-only segments, and
+// writable segments whose raw backing has been handed out via Bytes).
 func (s *Segment) pinWindow() {
-	s.touchLo, s.touchHi = s.Base, s.dataEnd
+	s.touchLo, s.touchHi = s.dataBase, s.dataEnd
 	s.viewData = s.data
 }
 
@@ -157,11 +219,11 @@ func (s *Segment) Size() uint64 { return s.end - s.Base }
 func (s *Segment) End() uint64 { return s.end }
 
 // contains reports whether [addr, addr+n) lies inside the segment's backed
-// bytes. Deliberately bounded by dataEnd, not the logical end: an
-// unmaterialized segment contains nothing, which routes every direct
-// accessor to the slow path until FindSegment materializes it.
+// window. Deliberately bounded by the backed window, not the logical
+// range: an access outside it routes every direct accessor to the slow
+// path, where FindSegment backs it.
 func (s *Segment) contains(addr uint64, n int) bool {
-	return addr >= s.Base && addr+uint64(n) <= s.dataEnd && addr+uint64(n) >= addr
+	return addr >= s.dataBase && addr+uint64(n) <= s.dataEnd && addr+uint64(n) >= addr
 }
 
 // spans reports whether [addr, addr+n) lies inside the segment's logical
@@ -170,33 +232,22 @@ func (s *Segment) spans(addr uint64, n int) bool {
 	return addr >= s.Base && addr+uint64(n) <= s.end && addr+uint64(n) >= addr
 }
 
-// materialize allocates the zeroed backing store of a lazy segment.
-func (s *Segment) materialize() {
-	if s.dataEnd != s.end {
-		s.data = make([]byte, s.end-s.Base)
-		s.dataEnd = s.end
-		if !s.Writable {
-			s.pinWindow()
-		}
-	}
-}
-
-// Bytes exposes the raw backing store (for snapshotting and the attacker's
-// disclosure oracle), materializing a lazy segment first. Because the
-// returned slice is a writable alias outside all tracked accessors, a
-// writable segment's touched window is conservatively pinned to the whole
-// segment: anything may have changed by the time it matters.
+// Bytes exposes the raw backing store of the whole segment (for writing
+// program images and for test digests), backing the full extent first.
+// Because the returned slice is a writable alias outside all tracked
+// accessors, a writable segment's touched window is conservatively pinned
+// to the whole segment: anything may have changed by the time it matters.
 func (s *Segment) Bytes() []byte {
-	s.materialize()
+	s.backAll()
 	if s.Writable {
 		s.pinWindow()
 	}
 	return s.data
 }
 
-// Contains reports whether [addr, addr+n) lies inside the segment (the
-// exported form of the hot-path range check, for callers holding a segment
-// view).
+// Contains reports whether [addr, addr+n) lies inside the segment's
+// backed window (the exported form of the hot-path range check, for
+// callers holding a segment view).
 func (s *Segment) Contains(addr uint64, n int) bool { return s.contains(addr, n) }
 
 // View returns the backing store and its address bounds in one tiny
@@ -204,13 +255,13 @@ func (s *Segment) Contains(addr uint64, n int) bool { return s.contains(addr, n)
 // ReadU64At/WriteU64At fast path: those loops are far past the inliner's
 // big-function threshold, where only very small callees still inline, so
 // the method forms cost a real call per access. The returned slice
-// aliases the segment and is valid until the next widen/materialize.
+// aliases the segment and is valid until the next widen or growth.
 //
 // The view spans the segment's touched window, not its full extent: for
 // read-only segments the two coincide, while a writable segment exposes
 // only [touchLo, touchHi). An access outside the window (including any
-// access to an unmaterialized or untouched segment — the window is empty,
-// so every probe fails) sends the caller to its slow path, which widens
+// access to an unbacked or untouched segment — the window is empty, so
+// every probe fails) sends the caller to its slow path, which widens
 // the window through the Memory accessors and re-aims the view; from then
 // on the access pattern is served inline again. That round-trip is paid
 // once per window extreme, and in exchange every byte an interpreter core
@@ -229,7 +280,7 @@ func (s *Segment) ReadU64At(addr uint64) (uint64, bool) {
 	if !s.contains(addr, 8) {
 		return 0, false
 	}
-	off := addr - s.Base
+	off := addr - s.dataBase
 	return binary.LittleEndian.Uint64(s.data[off : off+8]), true
 }
 
@@ -240,7 +291,7 @@ func (s *Segment) WriteU64At(addr uint64, val uint64) bool {
 		return false
 	}
 	s.touch(addr, 8)
-	off := addr - s.Base
+	off := addr - s.dataBase
 	binary.LittleEndian.PutUint64(s.data[off:off+8], val)
 	return true
 }
@@ -251,7 +302,7 @@ func (s *Segment) ReadU32At(addr uint64) (uint32, bool) {
 	if !s.contains(addr, 4) {
 		return 0, false
 	}
-	off := addr - s.Base
+	off := addr - s.dataBase
 	return binary.LittleEndian.Uint32(s.data[off : off+4]), true
 }
 
@@ -260,7 +311,7 @@ func (s *Segment) ReadU8At(addr uint64) (byte, bool) {
 	if !s.contains(addr, 1) {
 		return 0, false
 	}
-	return s.data[addr-s.Base], true
+	return s.data[addr-s.dataBase], true
 }
 
 // WriteU32At stores a 4-byte little-endian value at addr directly in the
@@ -270,7 +321,7 @@ func (s *Segment) WriteU32At(addr uint64, val uint32) bool {
 		return false
 	}
 	s.touch(addr, 4)
-	off := addr - s.Base
+	off := addr - s.dataBase
 	binary.LittleEndian.PutUint32(s.data[off:off+4], val)
 	return true
 }
@@ -281,7 +332,7 @@ func (s *Segment) WriteU8At(addr uint64, val byte) bool {
 		return false
 	}
 	s.touch(addr, 1)
-	s.data[addr-s.Base] = val
+	s.data[addr-s.dataBase] = val
 	return true
 }
 
@@ -295,7 +346,7 @@ func (s *Segment) WriteUAt(addr uint64, n int, val uint64) bool {
 		return false
 	}
 	s.touch(addr, n)
-	off := addr - s.Base
+	off := addr - s.dataBase
 	switch n {
 	case 8:
 		binary.LittleEndian.PutUint64(s.data[off:off+8], val)
@@ -369,32 +420,16 @@ func (m *Memory) checkOverlap(name string, base, size uint64) error {
 	return nil
 }
 
-// Map creates a segment and returns it, or a *MapError when the address
-// range collides with an existing segment. This is the library-path API:
-// callers with attacker- or fuzzer-influenced sizes must use it and route
-// the error; AddSegment is the Must-style wrapper for layouts that are
-// fixed by construction.
+// Map reserves a segment and returns it, or a *MapError when the address
+// range collides with an existing segment. The segment is backed on demand
+// (see Segment). This is the library-path API: callers with attacker- or
+// fuzzer-influenced sizes must use it and route the error; AddSegment is
+// the Must-style wrapper for layouts that are fixed by construction.
 func (m *Memory) Map(name string, base, size uint64, writable bool) (*Segment, error) {
 	if err := m.checkOverlap(name, base, size); err != nil {
 		return nil, err
 	}
-	seg := &Segment{Name: name, Base: base, Writable: writable, data: make([]byte, size), end: base + size, dataEnd: base + size}
-	if !writable {
-		seg.pinWindow()
-	}
-	m.segs = append(m.segs, seg)
-	return seg, nil
-}
-
-// MapLazy is Map for a segment whose backing bytes are allocated on first
-// access instead of eagerly. Identical observable behaviour to Map (the
-// bytes read as zero either way); meant for large regions most runs never
-// touch, such as the VM's heap.
-func (m *Memory) MapLazy(name string, base, size uint64, writable bool) (*Segment, error) {
-	if err := m.checkOverlap(name, base, size); err != nil {
-		return nil, err
-	}
-	seg := &Segment{Name: name, Base: base, Writable: writable, end: base + size, dataEnd: base}
+	seg := &Segment{Name: name, Base: base, Writable: writable, end: base + size, dataBase: base, dataEnd: base}
 	m.segs = append(m.segs, seg)
 	return seg, nil
 }
@@ -403,15 +438,6 @@ func (m *Memory) MapLazy(name string, base, size uint64, writable bool) (*Segmen
 // overlapping segments are a programming error and panic.
 func (m *Memory) AddSegment(name string, base, size uint64, writable bool) *Segment {
 	seg, err := m.Map(name, base, size, writable)
-	if err != nil {
-		panic(err.Error())
-	}
-	return seg
-}
-
-// AddSegmentLazy is MapLazy with AddSegment's panic-on-overlap contract.
-func (m *Memory) AddSegmentLazy(name string, base, size uint64, writable bool) *Segment {
-	seg, err := m.MapLazy(name, base, size, writable)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -449,9 +475,11 @@ func (m *Memory) FindSegment(addr uint64, n int) *Segment {
 	m.cacheWalks++
 	for _, s := range m.segs {
 		if s.spans(addr, n) {
-			// Only materialized segments enter the accessor cache: the
-			// fast paths index s.data straight after a contains hit.
-			s.materialize()
+			// Back the range before the segment enters the accessor cache:
+			// the fast paths index s.data straight after a contains hit.
+			if !s.contains(addr, n) {
+				s.grow(addr, n)
+			}
 			m.prev = m.last
 			m.last = s
 			s.touch(addr, n)
@@ -477,7 +505,7 @@ func (m *Memory) ReadUFast(addr uint64, n int) (uint64, bool) {
 	} else if s = m.FindSegment(addr, n); s == nil {
 		return 0, false
 	}
-	off := addr - s.Base
+	off := addr - s.dataBase
 	switch n {
 	case 8:
 		return binary.LittleEndian.Uint64(s.data[off : off+8]), true
@@ -499,7 +527,7 @@ func (m *Memory) ReadU64Fast(addr uint64) (uint64, bool) {
 	} else if s = m.FindSegment(addr, 8); s == nil {
 		return 0, false
 	}
-	off := addr - s.Base
+	off := addr - s.dataBase
 	return binary.LittleEndian.Uint64(s.data[off : off+8]), true
 }
 
@@ -518,7 +546,7 @@ func (m *Memory) WriteUFast(addr uint64, n int, val uint64) bool {
 		return false
 	}
 	s.touch(addr, n)
-	off := addr - s.Base
+	off := addr - s.dataBase
 	switch n {
 	case 8:
 		binary.LittleEndian.PutUint64(s.data[off:off+8], val)
@@ -542,7 +570,7 @@ func (m *Memory) view(addr uint64, n int, kind AccessKind) ([]byte, error) {
 	if kind == Write && !s.Writable {
 		return nil, &Fault{Addr: addr, Size: n, Kind: kind}
 	}
-	off := addr - s.Base
+	off := addr - s.dataBase
 	return s.data[off : off+uint64(n)], nil
 }
 
@@ -670,18 +698,23 @@ func (m *Memory) cstring(addr uint64, max int) ([]byte, error) {
 	if s == nil {
 		return nil, &Fault{Addr: addr, Size: 1, Kind: Read}
 	}
-	off := addr - s.Base
-	buf := s.data[off:]
-	limit := len(buf)
+	buf := s.data[addr-s.dataBase:]
+	limit := int(s.end - addr)
 	truncated := false
 	if max > 0 && max < limit {
 		limit = max
 		truncated = true
 	}
-	for i := 0; i < limit; i++ {
+	n := min(limit, len(buf))
+	for i := 0; i < n; i++ {
 		if buf[i] == 0 {
 			return buf[:i], nil
 		}
+	}
+	if n < limit {
+		// The scan reached the first unbacked byte: never written, so the
+		// NUL an eager segment would hold there.
+		return buf, nil
 	}
 	if truncated {
 		return nil, &UnterminatedString{Addr: addr, Limit: limit}
@@ -703,17 +736,27 @@ func (m *Memory) Zero(addr uint64, n int) error {
 	return nil
 }
 
-// Snapshot copies every segment's contents, keyed by segment name. Used by
-// the attacker's full-memory disclosure oracle and by deterministic replay
-// in tests.
+// Snapshot copies every segment's full logical contents, keyed by segment
+// name, for deterministic replay in tests. It backs nothing: unbacked
+// bytes copy out as the zeros they are. Nor does it pin touched windows
+// (Bytes() would, as it hands out a writable alias), so copy-on-reset
+// restores after a snapshot stay incremental.
 func (m *Memory) Snapshot() map[string][]byte {
 	out := make(map[string][]byte, len(m.segs))
 	for _, s := range m.segs {
-		// Copy straight from the backing store: Bytes() would pin the
-		// touched window (it hands out a writable alias), which would turn
-		// every copy-on-reset restore after a snapshot into a full rewrite.
-		s.materialize()
-		out[s.Name] = append([]byte(nil), s.data...)
+		img := make([]byte, s.Size())
+		copy(img[s.dataBase-s.Base:], s.data)
+		out[s.Name] = img
 	}
 	return out
+}
+
+// BackedBytes reports the host bytes the memory holds: every segment's
+// backed window plus its sealed baseline image.
+func (m *Memory) BackedBytes() uint64 {
+	var n uint64
+	for _, s := range m.segs {
+		n += uint64(len(s.data) + len(s.pristine))
+	}
+	return n
 }

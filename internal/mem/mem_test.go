@@ -171,6 +171,11 @@ func TestSegmentDirectAccessors(t *testing.T) {
 	m := mem.New()
 	s := m.AddSegment("data", 0x1000, 0x100, true)
 	ro := m.AddSegment("ro", 0x4000, 0x40, false)
+	// Direct accessors serve only backed bytes; a Memory-level access
+	// backs each (small) segment whole.
+	if m.FindSegment(0x1000, 1) == nil || m.FindSegment(0x4000, 1) == nil {
+		t.Fatal("segments must resolve")
+	}
 
 	if !s.WriteU64At(0x1008, 0x1122334455667788) {
 		t.Fatal("in-range WriteU64At refused")
@@ -217,34 +222,38 @@ func TestSegmentDirectAccessors(t *testing.T) {
 	}
 }
 
-// TestLazySegment pins the lazy-heap contract: identical observable
-// behaviour to an eager segment, with the backing bytes deferred until
-// first access, and direct accessors missing until materialization.
+// TestLazySegment pins the on-demand contract of a mapped segment:
+// identical observable behaviour to an eager segment, with the backing
+// bytes deferred until first access, and direct accessors missing until
+// the access is backed.
 func TestLazySegment(t *testing.T) {
 	m := mem.New()
-	s := m.AddSegmentLazy("heap", 0x1000, 0x100, true)
+	s, err := m.Map("heap", 0x1000, 0x100, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Unmaterialized: direct accessors and Contains must miss so hot-path
-	// callers fall through to the materializing slow path.
+	// Unbacked: direct accessors and Contains must miss so hot-path
+	// callers fall through to the backing slow path.
 	if s.Contains(0x1000, 8) {
-		t.Fatal("unmaterialized segment must not Contains")
+		t.Fatal("unbacked segment must not Contains")
 	}
 	if _, ok := s.ReadU64At(0x1000); ok {
-		t.Fatal("unmaterialized direct read must miss")
+		t.Fatal("unbacked direct read must miss")
 	}
 
-	// Memory-level access materializes and reads zeros.
+	// Memory-level access backs and reads zeros.
 	if v, err := m.ReadU(0x1010, 8); err != nil || v != 0 {
 		t.Fatalf("lazy segment must read as zero: %x, %v", v, err)
 	}
 	if !s.Contains(0x1000, 8) {
-		t.Fatal("segment must be materialized after first access")
+		t.Fatal("segment must be backed after first access")
 	}
 	if err := m.WriteU(0x1010, 8, 42); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := s.ReadU64At(0x1010); !ok || v != 42 {
-		t.Fatalf("post-materialization direct read = %d, %v", v, ok)
+		t.Fatalf("post-backing direct read = %d, %v", v, ok)
 	}
 	if got := uint64(len(s.Bytes())); got != s.Size() {
 		t.Fatalf("Bytes length %d, want full size %d", got, s.Size())

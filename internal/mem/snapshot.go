@@ -9,9 +9,9 @@ import "fmt"
 // contents and arms the touched-window tracking that every write path
 // already maintains (see Segment.touchLo/touchHi). Restore then rewinds
 // the memory to that baseline by rewriting only the touched span of each
-// segment — the 8 MiB stack costs a few KiB of memclr after a typical run
-// instead of a fresh 8 MiB allocation — which is what makes pooled
-// Machine reuse ~an order of magnitude cheaper than vm.New.
+// segment — a few KiB of memclr after a typical run — and keeps the backed
+// windows, so a pooled Machine's next run finds the stack and heap it
+// used already backed and never grows them again.
 //
 // Soundness does not depend on callers being well behaved: interpreter
 // fast paths can only store through window-bounded views, the slow paths
@@ -24,14 +24,16 @@ import "fmt"
 // windows so they start tracking post-seal writes. Segments untouched
 // since creation are all zero bytes and get a nil baseline (restored by
 // memclr); segments already carrying data — the globals image copied in
-// during construction — get a full copy. Call once, immediately after
-// machine construction and before the first run.
+// during construction — are backed in full and get a full copy, so a
+// baseline always indexes like the backing it restores. Call once,
+// immediately after machine construction and before the first run.
 func (m *Memory) Seal() {
 	for _, s := range m.segs {
 		if !s.Writable {
 			continue
 		}
 		if s.touchHi > s.touchLo {
+			s.backAll()
 			s.pristine = append(s.pristine[:0], s.data...)
 		}
 		s.resetWindow()
@@ -57,7 +59,7 @@ func (m *Memory) Restore() (restored uint64, ok bool) {
 		if !s.Writable || s.touchHi <= s.touchLo {
 			continue
 		}
-		lo, hi := s.touchLo-s.Base, s.touchHi-s.Base
+		lo, hi := s.touchLo-s.dataBase, s.touchHi-s.dataBase
 		if s.pristine != nil {
 			copy(s.data[lo:hi], s.pristine[lo:hi])
 		} else {

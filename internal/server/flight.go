@@ -10,12 +10,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -238,22 +239,36 @@ func (fc *flightCapture) summaries(recs []exp.Record) []CellSummary {
 }
 
 // topRows returns the n highest-cycle rows, ties broken by name for
-// determinism.
+// determinism. It selects into a slice of exactly that many rows: the
+// flight ring keeps the result, so it must not pin a copy of every row.
 func topRows(rows []telemetry.Row, n int) []telemetry.Row {
-	sorted := append([]telemetry.Row(nil), rows...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Cycles != sorted[j].Cycles {
-			return sorted[i].Cycles > sorted[j].Cycles
-		}
-		if sorted[i].Kind != sorted[j].Kind {
-			return sorted[i].Kind < sorted[j].Kind
-		}
-		return sorted[i].Name < sorted[j].Name
-	})
-	if len(sorted) > n {
-		sorted = sorted[:n]
+	k := min(n, len(rows))
+	if k <= 0 {
+		return nil
 	}
-	return sorted
+	top := make([]telemetry.Row, 0, k)
+	for _, r := range rows {
+		if len(top) == k {
+			if rankRows(r, top[k-1]) >= 0 {
+				continue
+			}
+			top = top[:k-1]
+		}
+		i, _ := slices.BinarySearchFunc(top, r, rankRows)
+		top = slices.Insert(top, i, r)
+	}
+	return top
+}
+
+// rankRows orders rows by descending cycles, then kind and name.
+func rankRows(a, b telemetry.Row) int {
+	if c := cmp.Compare(b.Cycles, a.Cycles); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Name, b.Name)
 }
 
 // specDigest is a stable content address for a session spec (flight

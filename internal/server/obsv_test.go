@@ -6,11 +6,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +49,7 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 	for _, key := range []string{
 		"active_sessions", "executing", "queued", "tenants", "inflight", "draining",
-		"pool_hits", "pool_misses", "pool_puts", "pool_drops", "pool_retained",
+		"pool_hits", "pool_misses", "pool_puts", "pool_drops", "pool_retained", "pool_retained_bytes",
 		"queue_slots", "queue_max_waiters",
 		"progcache_len", "progcache_hits", "progcache_misses", "progcache_evictions",
 		"audit_events", "flight_sessions",
@@ -325,5 +327,38 @@ func TestTracedSessionsNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines grew from %d to %d after traced sessions", base, n)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestTopRowsSelection checks topRows against a full sort of every row,
+// tie-breaks included, and that the selection holds exactly n rows.
+func TestTopRowsSelection(t *testing.T) {
+	var rows []telemetry.Row
+	for i := 0; i < 40; i++ {
+		kind := [2]string{"op", "cat"}[i%2]
+		rows = append(rows, telemetry.Row{Kind: kind, Name: fmt.Sprintf("r%02d", (i*7)%40), Count: uint64(i), Cycles: float64((i * 13) % 9)})
+	}
+	for _, n := range []int{1, 8, 40, 50} {
+		want := append([]telemetry.Row(nil), rows...)
+		slices.SortFunc(want, func(a, b telemetry.Row) int {
+			switch {
+			case a.Cycles != b.Cycles:
+				return cmp.Compare(b.Cycles, a.Cycles)
+			case a.Kind != b.Kind:
+				return cmp.Compare(a.Kind, b.Kind)
+			}
+			return cmp.Compare(a.Name, b.Name)
+		})
+		want = want[:min(n, len(want))]
+		got := topRows(rows, n)
+		if !slices.Equal(got, want) || cap(got) != len(want) {
+			t.Fatalf("topRows(n=%d) = %v (cap %d), want %v", n, got, cap(got), want)
+		}
+	}
+	if got := topRows(nil, 8); got != nil {
+		t.Fatalf("topRows of no rows = %v, want nil", got)
+	}
+	if got := topRows(rows, 0); got != nil {
+		t.Fatalf("topRows(n=0) = %v, want nil", got)
 	}
 }

@@ -525,6 +525,7 @@ type StatsSnapshot struct {
 	PoolPuts       uint64            `json:"pool_puts"`
 	PoolDrops      uint64            `json:"pool_drops"`
 	PoolRetained   int               `json:"pool_retained"`
+	PoolBytes      uint64            `json:"pool_retained_bytes"`
 	QueueSlots     int               `json:"queue_slots"`
 	QueueMaxWait   int               `json:"queue_max_waiters"`
 	ProgCacheLen   int               `json:"progcache_len"`
@@ -553,6 +554,7 @@ func (s *Server) stats() StatsSnapshot {
 		PoolPuts:       pool.Puts,
 		PoolDrops:      pool.Drops,
 		PoolRetained:   pool.Retained,
+		PoolBytes:      pool.RetainedBytes,
 		QueueSlots:     s.cfg.MaxConcurrent,
 		QueueMaxWait:   s.cfg.MaxQueued,
 		ProgCacheLen:   progLen,

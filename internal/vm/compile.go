@@ -246,17 +246,31 @@ type CodeCache struct {
 	// "compile" event. Called on the miss path only, outside any hot loop
 	// (but under the cache lock; observers must not re-enter the cache).
 	onCompile func(prog string, funcs int)
+	// installs counts OnCompile calls: an observer's remove func clears it
+	// only while no later install has replaced it.
+	installs uint64
 
 	// retired marks a cache its owner discarded (MachinePool.Retire):
 	// Machines built on it are no longer pooled.
 	retired atomic.Bool
 }
 
-// OnCompile installs the compile observer (nil to clear).
-func (c *CodeCache) OnCompile(fn func(prog string, funcs int)) {
+// OnCompile installs the compile observer, replacing any earlier one, and
+// returns a func that uninstalls it again — a no-op once another observer
+// has been installed in its place.
+func (c *CodeCache) OnCompile(fn func(prog string, funcs int)) (remove func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onCompile = fn
+	c.installs++
+	gen := c.installs
+	return func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.installs == gen {
+			c.onCompile = nil
+		}
+	}
 }
 
 // Len reports the number of cached compiled programs (telemetry gauge).

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ir"
@@ -258,6 +259,32 @@ func TestCodeCacheSharing(t *testing.T) {
 	})
 	if h, m := cache.Stats(); h != 1 || m != 2 {
 		t.Fatalf("changed costs: want 1 hit / 2 misses, got %d/%d", h, m)
+	}
+}
+
+// TestCompileObserverRemove pins OnCompile's remove func: it uninstalls
+// its own observer, and is a no-op once a later install replaced it.
+func TestCompileObserverRemove(t *testing.T) {
+	cache := NewCodeCache()
+	var seen []string
+	observer := func(tag string) func(string, int) {
+		return func(prog string, _ int) { seen = append(seen, tag+":"+prog) }
+	}
+	compileNew := func(name string) {
+		New(testProg(name), layout.NewFixed(), &Env{}, &Options{
+			TRNG: rng.SeededTRNG(1), Exec: TierCompiled, CodeCache: cache,
+		})
+	}
+	removeA := cache.OnCompile(observer("a"))
+	compileNew("p1")
+	removeB := cache.OnCompile(observer("b"))
+	removeA()
+	compileNew("p2")
+	removeB()
+	compileNew("p3")
+	removeA()
+	if got := fmt.Sprint(seen); got != "[a:p1 b:p2]" {
+		t.Fatalf("observed %s, want [a:p1 b:p2]", got)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // MachinePool recycles Machines across runs. A Get with a compatible
 // cached Machine costs one Reset (copy-on-reset memory restore plus the
 // per-run arming New would do anyway) instead of a full construction —
-// segment mapping, the 8 MiB stack allocation, image copies and compiled
-// stream lookups are all amortized away, and the steady state allocates
-// nothing per run (BenchmarkRunSetup pins both properties).
+// segment mapping, image copies, compiled stream lookups and the backing
+// a run grows its stack and heap into are all amortized away, and the
+// steady state allocates nothing per run (BenchmarkRunSetup pins both
+// properties).
 //
 // Machines pool by construction shape: program identity, cost model,
 // resolved execution tier, code cache, step/depth/heap bounds, and the
@@ -29,6 +30,9 @@ type MachinePool struct {
 	mu       sync.Mutex
 	free     map[poolKey][]*Machine
 	retained int // Machines in free, guarded by mu
+	// retainedBytes sums the pooledBytes of the Machines in free,
+	// guarded by mu.
+	retainedBytes uint64
 
 	// maxPerKey bounds retained Machines per key; excess Puts are dropped
 	// so pool growth stays bounded by grid concurrency, not grid size.
@@ -62,6 +66,9 @@ type PoolStats struct {
 	Drops         uint64 // Machines returned but discarded (full, unpoolable or retired)
 	RestoredBytes uint64 // cumulative copy-on-reset bytes (mem.snapshot feed)
 	Retained      int    // Machines the pool holds right now
+	// RetainedBytes is the memory those Machines hold: their backed
+	// segment bytes plus baseline images (mem.Memory.BackedBytes).
+	RetainedBytes uint64
 }
 
 // DefaultMaxPerKey bounds retained Machines per pool key. Sized for the
@@ -111,6 +118,7 @@ func (p *MachinePool) Get(prog *ir.Program, engine layout.Engine, env *Env, opts
 		m = list[len(list)-1]
 		p.free[key] = list[:len(list)-1]
 		p.retained--
+		p.retainedBytes -= m.pooledBytes
 	}
 	p.mu.Unlock()
 	if m != nil {
@@ -161,8 +169,10 @@ func (p *MachinePool) Put(m *Machine) {
 		p.drops.Add(1)
 		return
 	}
+	m.pooledBytes = m.Mem.BackedBytes()
 	p.free[key] = append(list, m)
 	p.retained++
+	p.retainedBytes += m.pooledBytes
 	p.mu.Unlock()
 	p.puts.Add(1)
 }
@@ -177,6 +187,9 @@ func (p *MachinePool) Retire(c *CodeCache) {
 	for k, list := range p.free {
 		if k.cache == c {
 			p.retained -= len(list)
+			for _, m := range list {
+				p.retainedBytes -= m.pooledBytes
+			}
 			delete(p.free, k)
 		}
 	}
@@ -185,11 +198,11 @@ func (p *MachinePool) Retire(c *CodeCache) {
 
 // Stats snapshots the pool counters. Safe to call concurrently with
 // Get/Put; reading costs nothing when nobody asks (the counters are plain
-// atomics the hot path touches once per run, not per step, and Retained
-// is read under the pool lock).
+// atomics the hot path touches once per run, not per step, and the
+// retained counts are read under the pool lock).
 func (p *MachinePool) Stats() PoolStats {
 	p.mu.Lock()
-	retained := p.retained
+	retained, retainedBytes := p.retained, p.retainedBytes
 	p.mu.Unlock()
 	return PoolStats{
 		Hits:          p.hits.Load(),
@@ -198,6 +211,7 @@ func (p *MachinePool) Stats() PoolStats {
 		Drops:         p.drops.Load(),
 		RestoredBytes: p.restored.Load(),
 		Retained:      retained,
+		RetainedBytes: retainedBytes,
 	}
 }
 
@@ -209,5 +223,6 @@ func (p *MachinePool) Drain() {
 		delete(p.free, k)
 	}
 	p.retained = 0
+	p.retainedBytes = 0
 	p.mu.Unlock()
 }

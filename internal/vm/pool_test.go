@@ -286,7 +286,13 @@ func TestMachinePoolReuse(t *testing.T) {
 		t.Fatal("no copy-on-reset bytes accounted")
 	}
 
+	if st.RetainedBytes != m1.Mem.BackedBytes() {
+		t.Fatalf("retained %d bytes, want the pooled Machine's %d", st.RetainedBytes, m1.Mem.BackedBytes())
+	}
 	pool.Drain()
+	if st := pool.Stats(); st.Retained != 0 || st.RetainedBytes != 0 {
+		t.Fatalf("drained pool retains %d Machines, %d bytes", st.Retained, st.RetainedBytes)
+	}
 	m3 := pool.Get(prog, layout.NewFixed(), &vm.Env{}, opts)
 	if m3 == m1 {
 		t.Fatal("drained pool returned a retained machine")
@@ -306,12 +312,13 @@ func TestPoolRetire(t *testing.T) {
 	pooled, running, kept := get(private), get(private), get(other)
 	pool.Put(pooled)
 	pool.Put(kept)
-	if st := pool.Stats(); st.Retained != 2 {
-		t.Fatalf("retained %d before Retire, want 2", st.Retained)
+	keptBytes := kept.Mem.BackedBytes()
+	if st := pool.Stats(); st.Retained != 2 || st.RetainedBytes != pooled.Mem.BackedBytes()+keptBytes {
+		t.Fatalf("retained %d Machines, %d bytes before Retire, want 2 and %d", st.Retained, st.RetainedBytes, pooled.Mem.BackedBytes()+keptBytes)
 	}
 	pool.Retire(private)
-	if st := pool.Stats(); st.Retained != 1 {
-		t.Fatalf("retained %d after Retire, want 1 (the other cache's)", st.Retained)
+	if st := pool.Stats(); st.Retained != 1 || st.RetainedBytes != keptBytes {
+		t.Fatalf("retained %d Machines, %d bytes after Retire, want 1 and %d (the other cache's)", st.Retained, st.RetainedBytes, keptBytes)
 	}
 	drops := pool.Stats().Drops
 	pool.Put(running)
@@ -321,8 +328,31 @@ func TestPoolRetire(t *testing.T) {
 	if m := get(other); m != kept {
 		t.Fatal("Retire dropped another cache's Machine")
 	}
-	if st := pool.Stats(); st.Retained != 0 {
-		t.Fatalf("retained %d after the last Get, want 0", st.Retained)
+	if st := pool.Stats(); st.Retained != 0 || st.RetainedBytes != 0 {
+		t.Fatalf("retained %d Machines, %d bytes after the last Get, want 0", st.Retained, st.RetainedBytes)
+	}
+}
+
+// TestFreshMachineBacking pins on-demand backing on the construction
+// path: a fresh Machine for BenchmarkRunSetup's probe program holds
+// kilobytes, not its 64 MiB heap and 8 MiB stack, before and after a run.
+func TestFreshMachineBacking(t *testing.T) {
+	prog := compile.MustCompile("setup-probe.c", `
+int g[64];
+int main() {
+	int i;
+	for (i = 0; i < 64; i = i + 1) { g[i] = i; }
+	return g[63];
+}`)
+	m := vm.New(prog, layout.NewFixed(), &vm.Env{}, &vm.Options{TRNG: rng.SeededTRNG(1)})
+	if b := m.Mem.BackedBytes(); b >= 64<<10 {
+		t.Fatalf("fresh Machine backs %d bytes", b)
+	}
+	if v, err := m.Run(); err != nil || v != 63 {
+		t.Fatalf("run = %d, %v", v, err)
+	}
+	if b := m.Mem.BackedBytes(); b >= 64<<10 {
+		t.Fatalf("Machine backs %d bytes after its run", b)
 	}
 }
 

@@ -40,7 +40,8 @@
 package vm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -215,6 +216,17 @@ var copConstituents = [numCops][]ir.Op{
 // as a "fused.<name>" cell counter) rather than a straight port.
 func copIsFused(c int) bool { return c > int(cBad) }
 
+// fusedNames holds the "fused.<name>" counter name of every fused cop,
+// built once rather than per Counters call.
+var fusedNames = func() (names [numCops]string) {
+	for c := range names {
+		if copIsFused(c) {
+			names[c] = "fused." + copNames[c]
+		}
+	}
+	return names
+}()
+
 type profAgg struct {
 	Count  uint64
 	Cycles float64
@@ -256,7 +268,18 @@ func (p *Profile) Rows() []telemetry.Row {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rows := make([]telemetry.Row, 0, len(p.ops)+len(p.cats))
+	n := 0
+	for _, a := range p.ops {
+		if a.Count != 0 || a.Cycles != 0 {
+			n++
+		}
+	}
+	for _, a := range p.cats {
+		if a.Count != 0 || a.Cycles != 0 {
+			n++
+		}
+	}
+	rows := make([]telemetry.Row, 0, n)
 	for op := range p.ops {
 		a := p.ops[op]
 		if a.Count == 0 && a.Cycles == 0 {
@@ -277,11 +300,11 @@ func (p *Profile) Rows() []telemetry.Row {
 			Count: a.Count, Cycles: telemetry.GridRound(a.Cycles),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Kind != rows[j].Kind {
-			return rows[i].Kind < rows[j].Kind
+	slices.SortFunc(rows, func(a, b telemetry.Row) int {
+		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+			return c
 		}
-		return rows[i].Name < rows[j].Name
+		return cmp.Compare(a.Name, b.Name)
 	})
 	return rows
 }
@@ -305,13 +328,19 @@ func (p *Profile) Counters() map[string]uint64 {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]uint64, len(p.counters)+8)
+	fused := 0
+	for c, n := range p.fused {
+		if n != 0 && copIsFused(c) {
+			fused++
+		}
+	}
+	out := make(map[string]uint64, len(p.counters)+fused)
 	for k, v := range p.counters {
 		out[k] = v
 	}
 	for c, n := range p.fused {
 		if n != 0 && copIsFused(c) {
-			out["fused."+copNames[c]] = n
+			out[fusedNames[c]] = n
 		}
 	}
 	return out

@@ -9,14 +9,16 @@ import (
 
 // Machine reset: the run-lifecycle fast path.
 //
-// vm.New pays for segment mapping, an 8 MiB stack allocation, program
-// image copies and compiled-stream lookups on every call — fine for one
-// run, ruinous for the thousands of short Machines an experiment grid
+// vm.New pays for segment mapping, program image copies and
+// compiled-stream lookups on every call, and each new Machine backs its
+// stack and heap afresh as its run touches them — fine for one run,
+// wasteful for the thousands of short Machines an experiment grid
 // creates and discards. Reset rewinds an existing Machine to the state an
 // equivalent New would have produced, at copy-on-reset cost: the sealed
-// Memory restores only the touched span of each segment (mem.Restore),
-// and every pooled structure — register/argument/effective-offset slabs,
-// the shadow stack, profiler slabs, the jitter table — keeps its backing.
+// Memory restores only the touched span of each segment (mem.Restore)
+// and keeps the bytes backing it, and every pooled structure —
+// register/argument/effective-offset slabs, the shadow stack, profiler
+// slabs, the jitter table — keeps its backing.
 //
 // Equivalence is exact, not approximate: arm() is the same code New runs,
 // so the engine rebias, the guard-key TRNG draw sequence (and therefore

@@ -427,11 +427,13 @@ type Machine struct {
 	// surcharge changes. armed marks that the engine-dependent pricing
 	// state (cost table, ccode) has been built at least once; jitterBuf is
 	// the retained backing for the jitter table so re-arming with jitter
-	// allocates only on first use.
-	tier      ExecTier
-	codeCache *CodeCache
-	armed     bool
-	jitterBuf []float64
+	// allocates only on first use. pooledBytes is the Memory's
+	// BackedBytes when a MachinePool took the Machine in, while it holds it.
+	tier        ExecTier
+	codeCache   *CodeCache
+	armed       bool
+	jitterBuf   []float64
+	pooledBytes uint64
 
 	// hostBuf/hostBuf2 are reusable staging buffers for host builtins that
 	// move byte ranges through Go (strcpy, memcpy, strcmp, ...): with them
@@ -572,9 +574,9 @@ func New(prog *ir.Program, engine layout.Engine, env *Env, opts *Options) *Machi
 		addr += uint64(g.Size)
 	}
 
-	// The heap's 64 MiB backing is materialized on first access: runs that
-	// never touch the heap (most workloads) skip the allocation entirely.
-	if m.heap, err = m.Mem.MapLazy("heap", mem.HeapBase, heapSize, true); err != nil {
+	// Heap, stack and unsafe stack are backed on demand (mem.Segment): a
+	// Machine holds the kilobytes its runs touch, not 64 + 8 (+ 4) MiB.
+	if m.heap, err = m.Mem.Map("heap", mem.HeapBase, heapSize, true); err != nil {
 		m.initErr = fmt.Errorf("vm: program image: %w", err)
 		return m
 	}
