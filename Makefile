@@ -87,13 +87,14 @@ bench:
 # attempts — a probe and an attack run, each on a fresh Machine — not
 # dispatch. Within scope, 35% leaves headroom for scheduler noise while a
 # genuine dispatch-level regression shows up as 1.5-2x. The -zeroalloc
-# gate additionally requires the pooled reset path to report 0 allocs/op
-# and 0 B/op in the new snapshot — allocation creep there is a regression
+# gate additionally requires the pooled reset path — plain, and with
+# defended calls under Smokestack and Stackato — to report 0 allocs/op
+# and 0 B/op in the new snapshot: allocation creep there is a regression
 # no matter how small the percentage.
 bench-compare:
 	$(GO) run ./cmd/benchjson -diff -threshold 35 \
 		-only 'VMThroughput|VMWorkloads|MemAccess' \
-		-zeroalloc 'RunSetup/reset' $(BENCH_PREV) $(BENCH_NEXT)
+		-zeroalloc '^RunSetup/reset(-smokestack|-stackato)?(-[0-9]+)?$$' $(BENCH_PREV) $(BENCH_NEXT)
 
 # perfbench/ is its own module (replace repro => ../), so `build`, `vet`
 # and `race` above never compile it; this vets and tests it against the

@@ -7,11 +7,15 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/compile"
 	"repro/internal/exp"
 	"repro/internal/harness"
+	"repro/internal/ir"
 	"repro/internal/layout"
 	"repro/internal/mem"
 	"repro/internal/pbox"
@@ -166,7 +170,8 @@ func BenchmarkPBoxBuild(b *testing.B) {
 }
 
 // BenchmarkLayoutDraw measures the per-invocation layout decision of each
-// engine — the host-side cost of what the paper's prologue does.
+// engine — the host-side cost of what the paper's prologue does — into a
+// reused buffer, as the VM's per-depth layout slabs hold it.
 func BenchmarkLayoutDraw(b *testing.B) {
 	w, _ := workload.ByName("bzip2")
 	fn, _ := w.Prog().FuncByName("mtfEncode")
@@ -176,9 +181,11 @@ func BenchmarkLayoutDraw(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			buf := make([]int64, len(fn.Allocas)+1)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = eng.Layout(fn)
+				_ = eng.Layout(fn, buf)
 			}
 		})
 	}
@@ -230,7 +237,10 @@ func BenchmarkFig4Pipeline(b *testing.B) {
 // Machine via copy-on-reset restore plus re-arming. The program is a few
 // hundred instructions, so lifecycle cost dominates both sides; the reset
 // path's steady state must stay at zero allocs/op (the bench-compare
-// zero-alloc gate pins it).
+// zero-alloc gate pins it). "reset-smokestack" and "reset-stackato"
+// recycle a Machine running internal/vm's zero-alloc probe
+// (testdata/defended_calls.c there) under those engines, so the same gate
+// fails on allocation in the defended call path.
 func BenchmarkRunSetup(b *testing.B) {
 	w := &workload.Workload{Name: "setup-probe", Want: 63, Source: `
 int g[64];
@@ -254,7 +264,7 @@ int main() {
 			}
 		}
 	})
-	b.Run("reset", func(b *testing.B) {
+	reset := func(b *testing.B, prog *ir.Program, eng layout.Engine) {
 		b.ReportAllocs()
 		pool := vm.NewMachinePool(0)
 		warm := pool.Get(prog, eng, env, opts)
@@ -270,7 +280,22 @@ int main() {
 			}
 			pool.Put(m)
 		}
-	})
+	}
+	b.Run("reset", func(b *testing.B) { reset(b, prog, eng) })
+	src, err := os.ReadFile(filepath.Join("internal", "vm", "testdata", "defended_calls.c"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe := compile.MustCompile("defended_calls.c", string(src))
+	for _, name := range []string{"smokestack", "stackato"} {
+		b.Run("reset-"+name, func(b *testing.B) {
+			eng, err := layout.NewByName(name, probe, 1, trng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reset(b, probe, eng)
+		})
+	}
 }
 
 // BenchmarkGridEndToEnd runs a mixed experiment grid — measurement cells

@@ -55,8 +55,8 @@ func PredictionScenario(eng *layout.Smokestack) *Scenario {
 				pred := d.Predict()
 				rMain := pred.Next()
 				rDisp := pred.Next()
-				mainFL := eng.LayoutForValue(mainFn, rMain)
-				dispFL := eng.LayoutForValue(dispFn, rDisp)
+				mainFL := eng.LayoutForValue(mainFn, rMain, nil)
+				dispFL := eng.LayoutForValue(dispFn, rDisp, nil)
 				predicted = &dispFL
 				if mainFL.GuardOffset() >= 0 && dispFL.GuardOffset() >= 0 {
 					// main's frame base is deterministic: the stack top

@@ -166,7 +166,7 @@ func (p *Program) FrameLayouts(scheme string, fnName string, n int, seed uint64)
 	eng.NewRun()
 	out := make([]layout.FrameLayout, n)
 	for i := range out {
-		out[i] = eng.Layout(fn)
+		out[i] = eng.Layout(fn, nil) // a fresh buffer per layout: the caller keeps them all
 	}
 	return out, nil
 }

@@ -128,9 +128,11 @@ func defenseEntropyCell(cfg Config, name string) ([]exp.Record, error) {
 	ds, _ := eng.(layout.DualStacker)
 	seen := make(map[string]bool, entropyDraws)
 	var sb strings.Builder
+	// Each draw overwrites buf; seen keeps its own rendering of the layout.
+	buf := make([]int64, len(fn.Allocas)+1)
 	for i := 0; i < entropyDraws; i++ {
 		eng.NewRun()
-		fl := eng.Layout(fn)
+		fl := eng.Layout(fn, buf)
 		sb.Reset()
 		fmt.Fprintf(&sb, "b%d|", eng.StackBias())
 		if ds != nil {

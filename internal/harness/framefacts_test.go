@@ -12,11 +12,12 @@ import (
 	"repro/internal/workload"
 )
 
-// The layout code that per-function frame facts (ir.Function.Frame)
-// replaced, kept verbatim as the reference: fixedOffsets and alignUp
-// were the baseline packer, unsafeMask was CleanStack's per-engine escape
-// analysis, and the ref* functions are the bodies of the CleanStack,
-// ShadowStack and Stackato Layout methods built on them.
+// The layout code that per-function frame facts (ir.Function.Frame) and
+// caller-owned layout buffers replaced, kept verbatim as the reference:
+// fixedOffsets and alignUp were the baseline packer, unsafeMask was
+// CleanStack's per-engine escape analysis, and the ref* functions are the
+// bodies of the CleanStack, ShadowStack, Stackato, StaticRand and Padding
+// Layout methods built on them (the last two filled per-engine caches).
 
 // fixedOffsets computes declaration-order offsets with alignment padding;
 // the shared baseline layout. Returns the offsets and the 16-byte aligned
@@ -176,12 +177,63 @@ func refStackato(fn *ir.Function, source rng.Source) layout.FrameLayout {
 	return fl
 }
 
-// TestFrameFactsMatchReference checks the fixed, cleanstack, shadowstack
-// and stackato layouts built from frame facts against the reference code
-// for every function of the registered workloads, the attack corpus and
-// 1000 random functions; CleanStack must price its rebase exactly where
-// the reference splits the frame. No golden pins CleanStack's split, so
-// this is what keeps the shared classification exact.
+// splitmix is the compile-time random stream StaticRand and Padding draw.
+func splitmix(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// refStaticRand is StaticRand's seeded permutation, ordered in a scratch
+// slice.
+func refStaticRand(fn *ir.Function, seed uint64) layout.FrameLayout {
+	n := len(fn.Allocas)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	s := seed ^ (uint64(fn.ID)+1)*0xff51afd7ed558ccd
+	for i := n - 1; i > 0; i-- {
+		j := int(splitmix(&s) % uint64(i+1))
+		order[i], order[j] = order[j], order[i]
+	}
+	offsets := make([]int64, n)
+	var ind int64
+	for _, ai := range order {
+		ind = alignUp(ind, fn.Allocas[ai].Align)
+		offsets[ai] = ind
+		ind += fn.Allocas[ai].Size
+	}
+	return layout.FrameLayout{Offsets: offsets, Size: alignUp(ind, 16)}
+}
+
+// refPadding is Padding's seeded pad before frames wider than 16 bytes.
+func refPadding(fn *ir.Function, seed uint64) layout.FrameLayout {
+	off, size := fixedOffsets(fn)
+	var extent int64
+	if n := len(fn.Allocas); n > 0 {
+		extent = off[n-1] + fn.Allocas[n-1].Size
+	}
+	if extent <= 16 {
+		return layout.FrameLayout{Offsets: off, Size: size}
+	}
+	s := seed ^ (uint64(fn.ID)+1)*0xc6a4a7935bd1e995
+	pad := int64(1+splitmix(&s)%8) * 8
+	for i := range off {
+		off[i] += pad
+	}
+	return layout.FrameLayout{Offsets: off, Size: alignUp(size+pad, 16)}
+}
+
+// TestFrameFactsMatchReference checks the fixed, cleanstack, shadowstack,
+// stackato, staticrand and padding layouts, each built into one reused
+// buffer, against the reference code for every function of the
+// registered workloads, the attack corpus and 1000 random functions;
+// CleanStack must price its rebase exactly where the reference splits the
+// frame. No golden pins CleanStack's split, so this is what keeps the
+// shared classification exact.
 func TestFrameFactsMatchReference(t *testing.T) {
 	var progs []*ir.Program
 	for _, w := range workload.All() {
@@ -198,7 +250,6 @@ func TestFrameFactsMatchReference(t *testing.T) {
 	progs = append(progs, random)
 
 	for _, p := range progs {
-		// Engines cache per fn.ID, so each program gets its own.
 		clean := layout.NewCleanStack(rng.SeededTRNG(1))
 		stackato := layout.NewStackato(rng.NewAESCtr(10, rng.SeededTRNG(2)))
 		stackatoRef := rng.NewAESCtr(10, rng.SeededTRNG(2))
@@ -210,11 +261,16 @@ func TestFrameFactsMatchReference(t *testing.T) {
 				}
 			}
 			off, size := fixedOffsets(fn)
-			check("fixed", layout.NewFixed().Layout(fn), layout.FrameLayout{Offsets: off, Size: size})
-			check("cleanstack", clean.Layout(fn), refCleanStack(fn))
-			check("shadowstack", layout.NewShadowStack().Layout(fn), refShadowStack(fn))
+			buf := make([]int64, len(fn.Allocas)+1)
+			check("fixed", layout.NewFixed().Layout(fn, buf), layout.FrameLayout{Offsets: off, Size: size})
+			check("cleanstack", clean.Layout(fn, buf), refCleanStack(fn))
+			check("shadowstack", layout.NewShadowStack().Layout(fn, buf), refShadowStack(fn))
 			for draw := 0; draw < 3; draw++ {
-				check("stackato", stackato.Layout(fn), refStackato(fn, stackatoRef))
+				check("stackato", stackato.Layout(fn, buf), refStackato(fn, stackatoRef))
+			}
+			for _, seed := range []uint64{1, 0x5eed} {
+				check("staticrand", layout.NewStaticRand(seed).Layout(fn, buf), refStaticRand(fn, seed))
+				check("padding", layout.NewPadding(seed).Layout(fn, buf), refPadding(fn, seed))
 			}
 			if rebase, split := clean.PrologueCycles(fn), unsafeMask(fn) != nil; (rebase != 0) != split {
 				t.Fatalf("%s/%s: cleanstack prologue %v with reference split %v", p.Name, fn.Name, rebase, split)

@@ -65,11 +65,12 @@ type Config struct {
 	// service sets it per session; offline runs leave it empty).
 	Tenant string
 	// CellDone, when non-nil, receives each cell's accumulated
-	// cycle-attribution rows, fused counters and RNG health once the
-	// cell's last machine has finished — per-session capture for the
-	// flight recorder, independent of the shared Metrics registry. Fires
-	// once per cell that runs.
-	CellDone func(cell string, rows []telemetry.Row, counters, rngHealth map[string]uint64)
+	// cycle-attribution rows and RNG health once the cell's last machine
+	// has finished — per-session capture for the flight recorder,
+	// independent of the shared Metrics registry. Fires once per cell
+	// that runs. rows is a buffer the harness reuses: it is valid only
+	// during the call, so a capture keeps what it derives from it.
+	CellDone func(cell string, rows []telemetry.Row, rngHealth map[string]uint64)
 	// Audit, when non-nil, receives a structured security event for every
 	// defense detection (canary, shadow-stack or guard violation) raised
 	// by a session cell. Nil is dormant.

@@ -88,7 +88,8 @@ func genFunction(r *rand.Rand, id int) *ir.Function {
 // random functions and checks the layout invariants every consumer
 // assumes: offsets in-bounds and aligned, allocas non-overlapping within
 // their region, integrity slots 8-aligned inside the frame extent, and
-// 16-aligned region sizes.
+// 16-aligned region sizes. Every draw reuses one buffer, as the VM's
+// per-depth layout slabs do.
 func TestEngineLayoutProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5eed))
 	prog := &ir.Program{Name: "prop", FuncIdx: map[string]int{}}
@@ -103,11 +104,15 @@ func TestEngineLayoutProperties(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildEngine: %v", err)
 			}
+			var buf []int64
 			for run := 0; run < 3; run++ {
 				eng.NewRun()
 				for _, fn := range prog.Funcs {
+					if cap(buf) < len(fn.Allocas)+1 {
+						buf = make([]int64, len(fn.Allocas)+1)
+					}
 					for draw := 0; draw < 4; draw++ {
-						checkLayout(t, name, fn, eng.Layout(fn))
+						checkLayout(t, name, fn, eng.Layout(fn, buf))
 					}
 				}
 			}

@@ -8,7 +8,10 @@
 // *vm.Profile (shared by every Machine the cell constructs, which run
 // sequentially within the cell), mirrors fault-injector firings and rng
 // degradation-ladder transitions into the trace, and folds the accumulated
-// profile into the Registry cell when the cell finishes.
+// profile into the Registry cell when the cell finishes. Finished obs are
+// pooled with their profile and row buffer, and trace events are built
+// only when a tracer is attached, so an untraced observed cell allocates
+// nothing for its observation but the cell key.
 //
 // Span mode (Config.TraceID set alongside Trace) threads a deterministic
 // span hierarchy through the same paths: trace root → cell → run. Span IDs
@@ -20,6 +23,7 @@ package harness
 import (
 	"errors"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/exp"
@@ -45,8 +49,15 @@ type obs struct {
 	runs     int
 	prevRows []telemetry.Row
 	rngh     map[string]uint64
-	cellDone func(cell string, rows []telemetry.Row, counters, rngHealth map[string]uint64)
+	cellDone func(cell string, rows []telemetry.Row, rngHealth map[string]uint64)
+	// spare and rows outlive the cell in obsPool: the profile prof uses
+	// when the cell is profiled, and the buffer done lays its rows into.
+	spare *vm.Profile
+	rows  []telemetry.Row
 }
+
+// obsPool recycles finished observation contexts.
+var obsPool = sync.Pool{New: func() any { return new(obs) }}
 
 // obs builds the observation context for one cell, or nil when telemetry
 // is dormant.
@@ -54,10 +65,15 @@ func (c Config) obs(experiment, name string) *obs {
 	if c.Metrics == nil && c.Trace == nil && c.CellDone == nil {
 		return nil
 	}
-	o := &obs{reg: c.Metrics, tr: c.Trace, cell: experiment + "/" + name, cellDone: c.CellDone}
+	o := obsPool.Get().(*obs)
+	*o = obs{reg: c.Metrics, tr: c.Trace, cell: experiment + "/" + name, cellDone: c.CellDone, spare: o.spare, rows: o.rows}
 	spanned := c.Trace != nil && c.TraceID != ""
 	if c.Metrics != nil || c.CellDone != nil || spanned {
-		o.prof = vm.NewProfile()
+		if o.spare == nil {
+			o.spare = vm.NewProfile()
+		}
+		o.prof = o.spare
+		o.prof.Reset()
 	}
 	if spanned {
 		o.span = telemetry.NewSpan(c.TraceID).Child("cell", o.cell)
@@ -78,7 +94,7 @@ func (o *obs) profile() *vm.Profile {
 // runStart traces the start of one VM run within the cell. In span mode
 // each run opens its own child span of the cell.
 func (o *obs) runStart(label string) {
-	if o == nil {
+	if o == nil || o.tr == nil {
 		return
 	}
 	if o.span.ID != "" {
@@ -95,7 +111,7 @@ func (o *obs) runStart(label string) {
 // FoldTrace.Reconcile, which `make smoke` runs through benchjson
 // -tracetree and the selftest, and `make race` through the span tests.
 func (o *obs) runEnd(label string, m *vm.Machine, err error) {
-	if o == nil {
+	if o == nil || o.tr == nil {
 		return
 	}
 	f := map[string]any{"label": label}
@@ -206,29 +222,25 @@ func (o *obs) watchFaults(inj *faultinject.Injector) {
 }
 
 // done folds the cell's accumulated VM profile into the registry cell and
-// hands the capture to CellDone. Call after the cell's last machine has
-// finished (machine profiles flush at Run exit, so the rows are complete
-// by then).
+// hands the capture to CellDone, then returns the obs to obsPool. Call
+// after the cell's last machine has finished (machine profiles flush at
+// Run exit, so the rows are complete by then) and use the obs no more.
 func (o *obs) done() {
 	if o == nil {
 		return
 	}
-	var rows []telemetry.Row
-	var counters map[string]uint64
-	if o.prof != nil {
-		rows = o.prof.Rows()
-		counters = o.prof.Counters()
-	}
-	if o.reg != nil && o.prof != nil {
-		c := o.reg.Cell(o.cell)
-		c.AddRows(rows)
-		for name, n := range counters {
-			c.AddCounter(name, n)
+	if o.prof != nil { // always, when CellDone is set
+		o.rows = o.prof.AppendRows(o.rows[:0])
+		if c := o.reg.Cell(o.cell); c != nil {
+			c.AddRows(o.rows)
+			o.prof.EachCounter(c.AddCounter)
 		}
 	}
 	if o.cellDone != nil {
-		o.cellDone(o.cell, rows, counters, o.rngh)
+		o.cellDone(o.cell, o.rows, o.rngh)
 	}
+	*o = obs{spare: o.spare, rows: o.rows}
+	obsPool.Put(o)
 }
 
 // auditDetection emits a structured security audit event when err is a
@@ -277,14 +289,14 @@ func (c Config) hooks() exp.Hooks {
 	// degrades to a plain Event — outside span mode these hooks emit
 	// byte-identical records to earlier versions.
 	cellSpan := func(cell exp.Cell) telemetry.Span { return root.Child("cell", key(cell)) }
-	return exp.Hooks{
-		CellStart: func(cell exp.Cell) {
-			tr.SpanEvent("cell.start", key(cell), cellSpan(cell), nil)
-		},
+	h := exp.Hooks{
 		CellEnd: func(cell exp.Cell, recs []exp.Record, wall time.Duration, _ int) {
 			if reg != nil {
 				reg.Histogram("exp.cell.wall_seconds", wallBounds).Observe(wall.Seconds())
 				reg.Cell(key(cell)).Timing(wall.Seconds())
+			}
+			if tr == nil {
+				return // the events below would be built only to be dropped
 			}
 			failed := 0
 			for _, r := range recs {
@@ -297,6 +309,12 @@ func (c Config) hooks() exp.Hooks {
 			})
 		},
 	}
+	if tr != nil {
+		h.CellStart = func(cell exp.Cell) {
+			tr.SpanEvent("cell.start", key(cell), cellSpan(cell), nil)
+		}
+	}
+	return h
 }
 
 // wallBounds is the fixed histogram bucket layout for the runner's cell

@@ -161,7 +161,7 @@ func TestSpanModeDormantAndReconciled(t *testing.T) {
 		TraceID: "t-span",
 		Tenant:  "spantest",
 		Audit:   telemetry.NewAuditSink(nil),
-		CellDone: func(cell string, rows []telemetry.Row, _, _ map[string]uint64) {
+		CellDone: func(cell string, rows []telemetry.Row, _ map[string]uint64) {
 			mu.Lock()
 			defer mu.Unlock()
 			captured[cell] = telemetry.MergeRows(captured[cell], rows)

@@ -6,6 +6,17 @@
 
 package ir
 
+// Stack regions an alloca may be placed in. Region values index the VM's
+// stack segments.
+const (
+	// RegionMain is the ordinary stack frame.
+	RegionMain uint8 = 0
+	// RegionUnsafe is the segregated "unsafe" stack segment (CleanStack):
+	// objects reachable from pointer-taking or array code live there, away
+	// from scalars and integrity slots.
+	RegionUnsafe uint8 = 1
+)
+
 // FrameFacts are a function's static frame facts.
 type FrameFacts struct {
 	// Offsets holds each alloca's declaration-order offset with alignment
@@ -18,9 +29,15 @@ type FrameFacts struct {
 	Extent int64
 	// Size is Extent rounded up to 16 bytes: the baseline frame size.
 	Size int64
-	// Unsafe marks the allocas a dual-stack defense segregates onto the
-	// unsafe stack (see unsafeAllocas); nil when there are none.
-	Unsafe []bool
+	// Regions assigns each alloca the stack a dual-stack defense places it
+	// on: RegionUnsafe (see unsafeAllocas) or RegionMain.
+	// Nil when no alloca is unsafe; the split fields below are then zero.
+	Regions []uint8
+	// SplitOffsets holds each alloca's declaration-order offset from its
+	// own region's frame base; SplitSize and UnsafeSize are the main and
+	// unsafe regions' extents rounded up to 16 bytes: the dual-stack frame.
+	SplitOffsets          []int64
+	SplitSize, UnsafeSize int64
 }
 
 // Frame returns f's frame facts, computing them on first use. It is safe
@@ -32,7 +49,7 @@ func (f *Function) Frame() *FrameFacts {
 	if ff := f.frame.Load(); ff != nil {
 		return ff
 	}
-	ff := &FrameFacts{Offsets: make([]int64, len(f.Allocas)), Unsafe: unsafeAllocas(f)}
+	ff := &FrameFacts{Offsets: make([]int64, len(f.Allocas)), Regions: unsafeAllocas(f)}
 	var end int64
 	for i, a := range f.Allocas {
 		end = AlignUp(end, a.Align)
@@ -40,6 +57,17 @@ func (f *Function) Frame() *FrameFacts {
 		end += a.Size
 	}
 	ff.Extent, ff.Size = end, AlignUp(end, 16)
+	if ff.Regions != nil {
+		ff.SplitOffsets = make([]int64, len(f.Allocas))
+		var ends [2]int64
+		for i, a := range f.Allocas {
+			r := ff.Regions[i]
+			ends[r] = AlignUp(ends[r], a.Align)
+			ff.SplitOffsets[i] = ends[r]
+			ends[r] += a.Size
+		}
+		ff.SplitSize, ff.UnsafeSize = AlignUp(ends[RegionMain], 16), AlignUp(ends[RegionUnsafe], 16)
+	}
 	if !f.frame.CompareAndSwap(nil, ff) {
 		return f.frame.Load()
 	}
@@ -59,18 +87,18 @@ func AlignUp(n, a int64) int64 {
 }
 
 // unsafeAllocas is CleanStack's compile-time classification (Chong et
-// al.): true marks an alloca for the unsafe stack. Unsafe means a
+// al.): RegionUnsafe marks an alloca for the unsafe stack. Unsafe means a
 // non-parameter alloca that is (a) larger than a scalar word — array or
 // buffer code indexes it — or (b) whose address escapes: the register
 // holding its OpAddrLocal result is used for anything beyond direct
 // load/store addressing (pointer arithmetic, stored to memory, passed to a
 // call, returned). Returns nil when nothing is unsafe.
-func unsafeAllocas(fn *Function) []bool {
-	mask := make([]bool, len(fn.Allocas))
+func unsafeAllocas(fn *Function) []uint8 {
+	mask := make([]uint8, len(fn.Allocas))
 	any := false
 	for i, a := range fn.Allocas {
 		if !a.IsParam && a.Size > 8 {
-			mask[i] = true
+			mask[i] = RegionUnsafe
 			any = true
 		}
 	}
@@ -90,8 +118,8 @@ func unsafeAllocas(fn *Function) []bool {
 	}
 	escape := func(r Reg) {
 		for _, ai := range holds[r] {
-			if !fn.Allocas[ai].IsParam && !mask[ai] {
-				mask[ai] = true
+			if !fn.Allocas[ai].IsParam && mask[ai] == RegionMain {
+				mask[ai] = RegionUnsafe
 				any = true
 			}
 		}

@@ -20,8 +20,6 @@
 package layout
 
 import (
-	"sync"
-
 	"repro/internal/ir"
 	"repro/internal/rng"
 )
@@ -57,22 +55,18 @@ type DualStacker interface {
 // CleanStack segregates "unsafe" allocas — arrays and address-escaping
 // locals — onto a second stack segment whose base is re-randomized each
 // run, keeping scalars and the return linkage on the main stack where a
-// linear overflow of an unsafe buffer cannot reach them.
+// linear overflow of an unsafe buffer cannot reach them. The split is
+// static per function, so it lives in the shared frame facts
+// (ir.FrameFacts.Regions and the split fields).
 type CleanStack struct {
 	trng rng.TRNG
 	bias uint64
-	mu   sync.Mutex
-	// split holds the two-region layouts of the functions that have
-	// unsafe allocas, packed from their shared classification
-	// (ir.FrameFacts.Unsafe); functions without any use their
-	// declaration-order frame.
-	split map[int]FrameLayout
 }
 
 // NewCleanStack builds the engine; trng feeds the per-run unsafe-stack
 // bias.
 func NewCleanStack(trng rng.TRNG) *CleanStack {
-	c := &CleanStack{trng: trng, split: make(map[int]FrameLayout)}
+	c := &CleanStack{trng: trng}
 	c.NewRun()
 	return c
 }
@@ -95,43 +89,21 @@ func (c *CleanStack) NewRun() {
 func (c *CleanStack) UnsafeBias() uint64 { return c.bias }
 
 // Layout implements Engine: declaration-order packing per region.
-func (c *CleanStack) Layout(fn *ir.Function) FrameLayout {
+func (*CleanStack) Layout(fn *ir.Function, _ []int64) FrameLayout {
 	ff := fn.Frame()
-	if ff.Unsafe == nil {
+	if ff.Regions == nil {
 		return declOrder(ff)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fl, ok := c.split[fn.ID]; ok {
-		return fl
+	return FrameLayout{
+		Offsets: ff.SplitOffsets, Size: ff.SplitSize,
+		Regions: ff.Regions, UnsafeSize: ff.UnsafeSize,
 	}
-	offsets := make([]int64, len(fn.Allocas))
-	regions := make([]uint8, len(fn.Allocas))
-	var mainInd, unsafeInd int64
-	for i, a := range fn.Allocas {
-		if ff.Unsafe[i] {
-			unsafeInd = ir.AlignUp(unsafeInd, a.Align)
-			offsets[i] = unsafeInd
-			regions[i] = RegionUnsafe
-			unsafeInd += a.Size
-		} else {
-			mainInd = ir.AlignUp(mainInd, a.Align)
-			offsets[i] = mainInd
-			mainInd += a.Size
-		}
-	}
-	fl := FrameLayout{
-		Offsets: offsets, Size: ir.AlignUp(mainInd, 16),
-		Regions: regions, UnsafeSize: ir.AlignUp(unsafeInd, 16),
-	}
-	c.split[fn.ID] = fl
-	return fl
 }
 
 // PrologueCycles implements Engine: functions with segregated allocas pay
 // one unsafe-stack-pointer rebase on entry.
 func (c *CleanStack) PrologueCycles(fn *ir.Function) float64 {
-	if fn.Frame().Unsafe != nil {
+	if fn.Frame().Regions != nil {
 		return unsafeRebaseCycles
 	}
 	return 0
@@ -179,7 +151,7 @@ func (*ShadowStack) NewRun() {}
 
 // Layout implements Engine: fixed offsets plus one SlotReturn token slot
 // above the locals.
-func (*ShadowStack) Layout(fn *ir.Function) FrameLayout {
+func (*ShadowStack) Layout(fn *ir.Function, _ []int64) FrameLayout {
 	ff := fn.Frame()
 	slot := ir.AlignUp(ff.Extent, 8)
 	fl := FrameLayout{Offsets: ff.Offsets, Size: ir.AlignUp(slot+8, 16)}
@@ -238,15 +210,11 @@ func (s *Stackato) Source() rng.Source { return s.source }
 
 // Layout implements Engine: one draw per invocation — pad below the
 // locals, canary above them.
-func (s *Stackato) Layout(fn *ir.Function) FrameLayout {
+func (s *Stackato) Layout(fn *ir.Function, buf []int64) FrameLayout {
 	ff := fn.Frame()
 	pad := int64(s.source.Next()%(stackatoMaxPad/16)) * 16
-	offsets := make([]int64, len(ff.Offsets))
-	for i, o := range ff.Offsets {
-		offsets[i] = o + pad
-	}
 	canary := ir.AlignUp(pad+ff.Extent, 8)
-	fl := FrameLayout{Offsets: offsets, Size: ir.AlignUp(canary+8, 16)}
+	fl := FrameLayout{Offsets: shifted(ff.Offsets, pad, buf), Size: ir.AlignUp(canary+8, 16)}
 	fl.AddSlot(SlotCanary, canary)
 	return fl
 }

@@ -61,16 +61,12 @@ func (k SlotKind) String() string {
 	return fmt.Sprintf("slot(%d)", uint8(k))
 }
 
-// Stack regions an alloca may be placed in. Region values index the VM's
-// stack segments; engines without dual stacks leave FrameLayout.Regions nil
-// (everything in the main region).
+// Stack regions an alloca may be placed in: the ir encoding that
+// ir.FrameFacts.Regions uses. Engines without dual stacks leave
+// FrameLayout.Regions nil (everything in the main region).
 const (
-	// RegionMain is the ordinary stack frame.
-	RegionMain uint8 = 0
-	// RegionUnsafe is the segregated "unsafe" stack segment (CleanStack):
-	// objects reachable from pointer-taking or array code live there, away
-	// from scalars and integrity slots.
-	RegionUnsafe uint8 = 1
+	RegionMain   = ir.RegionMain
+	RegionUnsafe = ir.RegionUnsafe
 )
 
 // IntegritySlot is one engine-declared integrity slot. Offset is relative
@@ -155,8 +151,13 @@ type Engine interface {
 	// NewRun is called once per program execution (process start); engines
 	// with per-run randomness (stack base) re-draw here.
 	NewRun()
-	// Layout computes the frame for one invocation of fn.
-	Layout(fn *ir.Function) FrameLayout
+	// Layout computes the frame for one invocation of fn. buf is a buffer
+	// the caller owns: an engine that computes offsets writes them into it
+	// when it holds len(fn.Allocas)+1 of them (the allocas plus one
+	// permuted integrity slot) and allocates otherwise. The returned
+	// Offsets alias buf or fn's shared frame facts, so they are read-only
+	// and valid until the next Layout into the same buf.
+	Layout(fn *ir.Function, buf []int64) FrameLayout
 	// PrologueCycles is the extra entry cost vs. the uninstrumented
 	// baseline.
 	PrologueCycles(fn *ir.Function) float64
@@ -180,6 +181,24 @@ type Engine interface {
 // are the facts' own slice, shared by every engine instance.
 func declOrder(ff *ir.FrameFacts) FrameLayout {
 	return FrameLayout{Offsets: ff.Offsets, Size: ff.Size}
+}
+
+// into returns n slots of the caller's Layout buffer, or fresh ones when
+// it is too short.
+func into(buf []int64, n int) []int64 {
+	if cap(buf) < n {
+		return make([]int64, n)
+	}
+	return buf[:n]
+}
+
+// shifted writes offsets moved up by pad into buf (see into).
+func shifted(offsets []int64, pad int64, buf []int64) []int64 {
+	out := into(buf, len(offsets))
+	for i, o := range offsets {
+		out[i] = o + pad
+	}
+	return out
 }
 
 // splitmix is the deterministic stream used for compile-time randomness.
@@ -209,7 +228,7 @@ func (*Fixed) Name() string { return "fixed" }
 func (*Fixed) NewRun() {}
 
 // Layout implements Engine.
-func (*Fixed) Layout(fn *ir.Function) FrameLayout {
+func (*Fixed) Layout(fn *ir.Function, _ []int64) FrameLayout {
 	return declOrder(fn.Frame())
 }
 
@@ -236,20 +255,14 @@ func (*Fixed) RodataBytes() int64 { return 0 }
 
 // StaticRand permutes each function's allocations once, at "compile time";
 // the permutation never changes afterwards, so a single disclosure
-// de-randomizes it (§II-C). The layout cache is mutex-guarded, so one
-// engine may safely back several concurrently-running Machines (layouts
-// are pure functions of the seed, so racing builders agree on the value).
-type StaticRand struct {
-	seed  uint64
-	mu    sync.Mutex
-	cache map[int]FrameLayout
-}
+// de-randomizes it (§II-C). Each layout is a pure function of the seed and
+// the function, recomputed into the caller's buffer, so the engine holds
+// no state and may back several concurrently-running Machines.
+type StaticRand struct{ seed uint64 }
 
 // NewStaticRand builds a compile-time permutation engine from a seed (the
 // "compilation"); recompiling with a new seed yields a new static layout.
-func NewStaticRand(seed uint64) *StaticRand {
-	return &StaticRand{seed: seed, cache: make(map[int]FrameLayout)}
-}
+func NewStaticRand(seed uint64) *StaticRand { return &StaticRand{seed: seed} }
 
 // Name implements Engine.
 func (*StaticRand) Name() string { return "staticrand" }
@@ -258,33 +271,33 @@ func (*StaticRand) Name() string { return "staticrand" }
 // restarts change nothing — exactly the weakness the paper exploits.
 func (*StaticRand) NewRun() {}
 
-// Layout implements Engine.
-func (s *StaticRand) Layout(fn *ir.Function) FrameLayout {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fl, ok := s.cache[fn.ID]; ok {
-		return fl
-	}
+// Layout implements Engine: a seeded Fisher–Yates order of the allocas,
+// packed in that order. The order is kept in the low 32 bits of the
+// output slots and each offset is added above it, so no scratch is needed
+// (offsets past 4 GiB would wrap, like P-BOX table cells; no such frame
+// fits the VM's stack).
+func (s *StaticRand) Layout(fn *ir.Function, buf []int64) FrameLayout {
 	n := len(fn.Allocas)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	out := into(buf, n)
+	for i := range out {
+		out[i] = int64(i)
 	}
 	r := &splitmix{s: s.seed ^ (uint64(fn.ID)+1)*0xff51afd7ed558ccd}
 	for i := n - 1; i > 0; i-- {
 		j := int(r.next() % uint64(i+1))
-		order[i], order[j] = order[j], order[i]
+		out[i], out[j] = out[j], out[i]
 	}
-	offsets := make([]int64, n)
 	var ind int64
-	for _, ai := range order {
-		ind = ir.AlignUp(ind, fn.Allocas[ai].Align)
-		offsets[ai] = ind
-		ind += fn.Allocas[ai].Size
+	for _, v := range out {
+		a := fn.Allocas[uint32(v)]
+		ind = ir.AlignUp(ind, a.Align)
+		out[uint32(v)] |= ind << 32
+		ind += a.Size
 	}
-	fl := FrameLayout{Offsets: offsets, Size: ir.AlignUp(ind, 16)}
-	s.cache[fn.ID] = fl
-	return fl
+	for i, v := range out {
+		out[i] = int64(uint64(v) >> 32)
+	}
+	return FrameLayout{Offsets: out, Size: ir.AlignUp(ind, 16)}
 }
 
 // PrologueCycles implements Engine (compile-time: free at run time).
@@ -312,19 +325,12 @@ func (*StaticRand) RodataBytes() int64 { return 0 }
 // before frames larger than 16 bytes, following Forrest et al. "Larger"
 // means the laid-out frame extent — allocation sizes plus the alignment
 // padding between them — not the raw sum of sizes: two 8-byte allocas with
-// 16-byte alignment span 24 bytes and are padded. The layout cache is
-// mutex-guarded like StaticRand's, so sharing one engine across Machines
-// is safe.
-type Padding struct {
-	seed  uint64
-	mu    sync.Mutex
-	cache map[int]FrameLayout
-}
+// 16-byte alignment span 24 bytes and are padded. Like StaticRand it holds
+// no state, so sharing one engine across Machines is safe.
+type Padding struct{ seed uint64 }
 
 // NewPadding builds the compile-time padding engine from a seed.
-func NewPadding(seed uint64) *Padding {
-	return &Padding{seed: seed, cache: make(map[int]FrameLayout)}
-}
+func NewPadding(seed uint64) *Padding { return &Padding{seed: seed} }
 
 // Name implements Engine.
 func (*Padding) Name() string { return "padding" }
@@ -333,27 +339,16 @@ func (*Padding) Name() string { return "padding" }
 func (*Padding) NewRun() {}
 
 // Layout implements Engine.
-func (p *Padding) Layout(fn *ir.Function) FrameLayout {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fl, ok := p.cache[fn.ID]; ok {
-		return fl
-	}
+func (p *Padding) Layout(fn *ir.Function, buf []int64) FrameLayout {
 	// Forrest-style padding applies to frames larger than 16 bytes, where
 	// the frame extent includes alignment padding between allocations.
 	ff := fn.Frame()
-	fl := declOrder(ff)
-	if ff.Extent > 16 {
-		r := &splitmix{s: p.seed ^ (uint64(fn.ID)+1)*0xc6a4a7935bd1e995}
-		pad := int64(1+r.next()%8) * 8 // one of 8, 16, ..., 64
-		fl.Offsets = make([]int64, len(ff.Offsets))
-		for i, o := range ff.Offsets {
-			fl.Offsets[i] = o + pad
-		}
-		fl.Size = ir.AlignUp(ff.Size+pad, 16)
+	if ff.Extent <= 16 {
+		return declOrder(ff)
 	}
-	p.cache[fn.ID] = fl
-	return fl
+	r := &splitmix{s: p.seed ^ (uint64(fn.ID)+1)*0xc6a4a7935bd1e995}
+	pad := int64(1+r.next()%8) * 8 // one of 8, 16, ..., 64
+	return FrameLayout{Offsets: shifted(ff.Offsets, pad, buf), Size: ir.AlignUp(ff.Size+pad, 16)}
 }
 
 // PrologueCycles implements Engine.
@@ -411,7 +406,7 @@ func (b *BaseRand) NewRun() {
 }
 
 // Layout implements Engine.
-func (*BaseRand) Layout(fn *ir.Function) FrameLayout {
+func (*BaseRand) Layout(fn *ir.Function, _ []int64) FrameLayout {
 	return declOrder(fn.Frame())
 }
 
@@ -638,24 +633,21 @@ func (s *Smokestack) Plan() *SmokestackPlan { return s.plan }
 func (s *Smokestack) Source() rng.Source { return s.source }
 
 // Layout implements Engine: draw one random number, index the P-BOX.
-func (s *Smokestack) Layout(fn *ir.Function) FrameLayout {
-	return s.LayoutForValue(fn, s.source.Next())
+func (s *Smokestack) Layout(fn *ir.Function, buf []int64) FrameLayout {
+	return s.LayoutForValue(fn, s.source.Next(), buf)
 }
 
-// LayoutForValue computes the frame layout the engine produces for random
-// value r — a pure function of r. The RNG-prediction ablation (experiment
-// E7) uses it to model an attacker who has disclosed a memory-resident
-// PRNG's state and replays the stream: the P-BOX itself is public (it ships
-// in the binary's read-only data), so knowing r is knowing the layout.
-func (s *Smokestack) LayoutForValue(fn *ir.Function, r uint64) FrameLayout {
+// LayoutForValue computes, into buf as Layout does, the frame layout the
+// engine produces for random value r — a pure function of r. The
+// RNG-prediction ablation (experiment E7) uses it to model an attacker
+// who has disclosed a memory-resident PRNG's state and replays the
+// stream: the P-BOX itself is public (it ships in the binary's read-only
+// data), so knowing r is knowing the layout.
+func (s *Smokestack) LayoutForValue(fn *ir.Function, r uint64, buf []int64) FrameLayout {
 	p := s.plan
 	e := p.entries[fn.ID]
 	n := len(fn.Allocas)
-	total := n
-	if p.opts.Guard {
-		total++
-	}
-	out := make([]int64, total)
+	out := into(buf, e.NumAllocs()) // the allocas, then the guard if any
 	size := e.Layout(r, out)
 	fl := FrameLayout{Offsets: out[:n], Size: size}
 	if p.opts.Guard {

@@ -90,7 +90,7 @@ func validate(t *testing.T, fn *ir.Function, fl layout.FrameLayout) {
 func TestFixedIsDeclarationOrder(t *testing.T) {
 	p := testProg(t)
 	fn := workFn(t, p)
-	fl := layout.NewFixed().Layout(fn)
+	fl := layout.NewFixed().Layout(fn, nil)
 	validate(t, fn, fl)
 	if fl.GuardOffset() != -1 {
 		t.Error("fixed must not place a guard")
@@ -102,7 +102,7 @@ func TestFixedIsDeclarationOrder(t *testing.T) {
 		}
 	}
 	// And it is deterministic.
-	fl2 := layout.NewFixed().Layout(fn)
+	fl2 := layout.NewFixed().Layout(fn, nil)
 	for i := range fl.Offsets {
 		if fl.Offsets[i] != fl2.Offsets[i] {
 			t.Fatal("fixed layout must be deterministic")
@@ -114,18 +114,18 @@ func TestStaticRandProperties(t *testing.T) {
 	p := testProg(t)
 	fn := workFn(t, p)
 	e := layout.NewStaticRand(77)
-	fl := e.Layout(fn)
+	fl := e.Layout(fn, nil)
 	validate(t, fn, fl)
 	// Same every invocation and across NewRun (process restart).
 	e.NewRun()
-	fl2 := e.Layout(fn)
+	fl2 := e.Layout(fn, nil)
 	if fmt.Sprint(fl.Offsets) != fmt.Sprint(fl2.Offsets) {
 		t.Fatal("static permutation must survive restarts")
 	}
 	// A recompile (new seed) usually yields a different order.
 	diff := 0
 	for seed := uint64(1); seed <= 8; seed++ {
-		flS := layout.NewStaticRand(seed).Layout(fn)
+		flS := layout.NewStaticRand(seed).Layout(fn, nil)
 		if fmt.Sprint(flS.Offsets) != fmt.Sprint(fl.Offsets) {
 			diff++
 		}
@@ -139,9 +139,9 @@ func TestStaticRandProperties(t *testing.T) {
 func TestPaddingRule(t *testing.T) {
 	p := testProg(t)
 	fn := workFn(t, p)
-	fixed := layout.NewFixed().Layout(fn)
+	fixed := layout.NewFixed().Layout(fn, nil)
 	e := layout.NewPadding(3)
-	fl := e.Layout(fn)
+	fl := e.Layout(fn, nil)
 	validate(t, fn, fl)
 	pad := fl.Offsets[0] - fixed.Offsets[0]
 	if pad < 8 || pad > 64 || pad%8 != 0 {
@@ -160,8 +160,8 @@ long f(long a) { long x; x = a; return x; }
 long main() { return f(1); }
 `)
 	sfn, _ := small.FuncByName("f")
-	sfl := layout.NewPadding(3).Layout(sfn)
-	sfx := layout.NewFixed().Layout(sfn)
+	sfl := layout.NewPadding(3).Layout(sfn, nil)
+	sfx := layout.NewFixed().Layout(sfn, nil)
 	if sfl.Offsets[0] != sfx.Offsets[0] {
 		t.Fatal("frames with ≤16B of allocations must not be padded")
 	}
@@ -184,7 +184,7 @@ func TestBaseRand(t *testing.T) {
 	// Relative layout untouched.
 	p := testProg(t)
 	fn := workFn(t, p)
-	if fmt.Sprint(e.Layout(fn).Offsets) != fmt.Sprint(layout.NewFixed().Layout(fn).Offsets) {
+	if fmt.Sprint(e.Layout(fn, nil).Offsets) != fmt.Sprint(layout.NewFixed().Layout(fn, nil).Offsets) {
 		t.Fatal("baserand must not alter relative layout")
 	}
 }
@@ -195,7 +195,7 @@ func TestSmokestackPerInvocation(t *testing.T) {
 	e := layout.NewSmokestack(p, rng.NewAESCtr(10, rng.SeededTRNG(7)), nil)
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		fl := e.Layout(fn)
+		fl := e.Layout(fn, nil)
 		validate(t, fn, fl)
 		if fl.GuardOffset() < 0 {
 			t.Fatal("smokestack must place a guard")
@@ -213,12 +213,12 @@ func TestSmokestackLayoutForValueIsPure(t *testing.T) {
 	p := testProg(t)
 	fn := workFn(t, p)
 	e := layout.NewSmokestack(p, rng.NewAESCtr(10, rng.SeededTRNG(9)), nil)
-	a := e.LayoutForValue(fn, 12345)
-	b := e.LayoutForValue(fn, 12345)
+	a := e.LayoutForValue(fn, 12345, nil)
+	b := e.LayoutForValue(fn, 12345, nil)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatal("LayoutForValue must be a pure function of r")
 	}
-	c := e.LayoutForValue(fn, 54321)
+	c := e.LayoutForValue(fn, 54321, nil)
 	_ = c // different r may or may not differ; only purity is asserted
 }
 
@@ -228,7 +228,7 @@ func TestSmokestackGuardDisabled(t *testing.T) {
 	e := layout.NewSmokestack(p, rng.NewPseudo(3), &layout.SmokestackOptions{
 		PBox: pbox.DefaultConfig(), Guard: false, MaxVLAPad: 64,
 	})
-	fl := e.Layout(fn)
+	fl := e.Layout(fn, nil)
 	validate(t, fn, fl)
 	if fl.GuardOffset() != -1 {
 		t.Fatal("guard disabled but offset present")
@@ -344,7 +344,7 @@ func TestPlanEnginesMatchDirectConstruction(t *testing.T) {
 	cached := pc.Plan(p, nil).NewEngine(rng.NewPseudo(99))
 	direct := layout.NewSmokestack(p, rng.NewPseudo(99), nil)
 	for i := 0; i < 50; i++ {
-		a, b := cached.Layout(fn), direct.Layout(fn)
+		a, b := cached.Layout(fn, nil), direct.Layout(fn, nil)
 		validate(t, fn, a)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("invocation %d: cached-plan layout %v != direct %v", i, a, b)
@@ -371,8 +371,8 @@ func TestPaddingThresholdCountsAlignment(t *testing.T) {
 			{Name: "b", Size: 8, Align: 16},
 		},
 	}
-	fl := layout.NewPadding(3).Layout(aligned)
-	fx := layout.NewFixed().Layout(aligned)
+	fl := layout.NewPadding(3).Layout(aligned, nil)
+	fx := layout.NewFixed().Layout(aligned, nil)
 	pad := fl.Offsets[0] - fx.Offsets[0]
 	if pad < 8 || pad > 64 || pad%8 != 0 {
 		t.Fatalf("24-byte frame (16B of allocas + 8B alignment gap) must be padded by 8..64, got %d", pad)
@@ -385,8 +385,8 @@ func TestPaddingThresholdCountsAlignment(t *testing.T) {
 			{Name: "b", Size: 8, Align: 8},
 		},
 	}
-	fl = layout.NewPadding(3).Layout(atLimit)
-	fx = layout.NewFixed().Layout(atLimit)
+	fl = layout.NewPadding(3).Layout(atLimit, nil)
+	fx = layout.NewFixed().Layout(atLimit, nil)
 	if fl.Offsets[0] != fx.Offsets[0] || fl.Size != fx.Size {
 		t.Fatalf("16-byte frame must not be padded: got offsets %v size %d", fl.Offsets, fl.Size)
 	}
@@ -398,18 +398,19 @@ func TestPaddingThresholdCountsAlignment(t *testing.T) {
 			{Name: "b", Size: 1, Align: 1},
 		},
 	}
-	fl = layout.NewPadding(3).Layout(over)
-	fx = layout.NewFixed().Layout(over)
+	fl = layout.NewPadding(3).Layout(over, nil)
+	fx = layout.NewFixed().Layout(over, nil)
 	if fl.Offsets[0] == fx.Offsets[0] {
 		t.Fatal("17-byte frame must be padded")
 	}
 }
 
 // TestLayoutCachesConcurrent shares one StaticRand and one Padding engine
-// across goroutines hammering Layout — the plan/engine split invites
-// exactly this sharing — and has 8 goroutines build a fresh program's
-// per-function frame facts at once. Run under -race this fails if a layout
-// cache or the facts are unguarded; all goroutines must also agree on the
+// across goroutines hammering Layout, each into its own buffer — the
+// plan/engine split invites exactly this sharing — and has 8 goroutines
+// build a fresh program's per-function frame facts at once. Run under
+// -race this fails if an engine keeps unguarded state or the facts are
+// unguarded; all goroutines must also agree on the
 // layouts, and every caller of Function.Frame must get the one stored
 // value.
 func TestLayoutCachesConcurrent(t *testing.T) {
@@ -420,7 +421,7 @@ func TestLayoutCachesConcurrent(t *testing.T) {
 		eng := eng
 		want := make(map[string]string)
 		for _, fn := range p.Funcs {
-			want[fn.Name] = fmt.Sprint(eng.Layout(fn))
+			want[fn.Name] = fmt.Sprint(eng.Layout(fn, nil))
 		}
 		var wg sync.WaitGroup
 		errc := make(chan error, 8)
@@ -428,9 +429,10 @@ func TestLayoutCachesConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				buf := make([]int64, 64)
 				for i := 0; i < 200; i++ {
 					for _, fn := range p.Funcs {
-						if got := fmt.Sprint(eng.Layout(fn)); got != want[fn.Name] {
+						if got := fmt.Sprint(eng.Layout(fn, buf)); got != want[fn.Name] {
 							select {
 							case errc <- fmt.Errorf("%s: concurrent layout %s != %s", eng.Name(), got, want[fn.Name]):
 							default:
@@ -465,7 +467,7 @@ func frameFactsConcurrent(t *testing.T, p *ir.Program) {
 	want := make(map[string]string)
 	for _, eng := range engines() {
 		for _, fn := range p.Funcs {
-			want[eng.Name()+"/"+fn.Name] = fmt.Sprint(eng.Layout(fn))
+			want[eng.Name()+"/"+fn.Name] = fmt.Sprint(eng.Layout(fn, nil))
 		}
 	}
 	fresh := testProg(t)
@@ -482,7 +484,7 @@ func frameFactsConcurrent(t *testing.T, p *ir.Program) {
 			for _, fn := range fresh.Funcs {
 				facts[g] = append(facts[g], fn.Frame())
 				for _, eng := range shared {
-					if got, w := fmt.Sprint(eng.Layout(fn)), want[eng.Name()+"/"+fn.Name]; got != w {
+					if got, w := fmt.Sprint(eng.Layout(fn, nil)), want[eng.Name()+"/"+fn.Name]; got != w {
 						t.Errorf("%s/%s: concurrent layout %s != %s", eng.Name(), fn.Name, got, w)
 					}
 				}

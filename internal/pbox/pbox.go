@@ -486,7 +486,7 @@ func alignUp(n, a int64) int64 {
 
 // shuffle is a deterministic Fisher–Yates over ints seeded by a splitmix64
 // stream.
-func shuffle(p []int, seed uint64) {
+func shuffle[T int | int64](p []T, seed uint64) {
 	s := seed
 	next := func() uint64 {
 		s += 0x9e3779b97f4a7c15
@@ -504,19 +504,24 @@ func shuffle(p []int, seed uint64) {
 // runtimeLayout decodes a layout directly from the random value for
 // functions too large for a table: a Fisher–Yates permutation seeded by r.
 // This path trades prologue cycles for table memory; the layout engine
-// prices it accordingly.
+// prices it accordingly. It needs no scratch, as a prologue computing the
+// permutation in registers would not: the order lives in the low 32 bits
+// of out, and each allocation's offset is added above its order entry.
+// Offsets are 32-bit like table cells, far above any frame the stack fits.
 func runtimeLayout(allocs []Alloc, r uint64, out []int64, frameAlign int64) int64 {
-	n := len(allocs)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	for i := range out {
+		out[i] = int64(i)
 	}
-	shuffle(order, r)
+	shuffle(out, r)
 	var ind int64
-	for _, ai := range order {
-		ind = alignUp(ind, allocs[ai].Align)
-		out[ai] = ind
-		ind += allocs[ai].Size
+	for _, v := range out {
+		a := allocs[uint32(v)]
+		ind = alignUp(ind, a.Align)
+		out[uint32(v)] |= ind << 32
+		ind += a.Size
+	}
+	for i, v := range out {
+		out[i] = int64(uint64(v) >> 32)
 	}
 	return alignUp(ind, frameAlign)
 }

@@ -393,3 +393,46 @@ func TestSharedCacheKeepsBoxAccounting(t *testing.T) {
 		t.Errorf("shared count %d != private %d", withCache.SharedCount(), private.SharedCount())
 	}
 }
+
+// runtimeLayoutRef is runtimeLayout as it was with a scratch order slice:
+// the reference the scratch-free version must match.
+func runtimeLayoutRef(allocs []Alloc, r uint64, out []int64, frameAlign int64) int64 {
+	order := make([]int, len(allocs))
+	for i := range order {
+		order[i] = i
+	}
+	shuffle(order, r)
+	var ind int64
+	for _, ai := range order {
+		ind = alignUp(ind, allocs[ai].Align)
+		out[ai] = ind
+		ind += allocs[ai].Size
+	}
+	return alignUp(ind, frameAlign)
+}
+
+// TestRuntimeLayoutMatchesReference checks the scratch-free run-time
+// decode against the reference on random shapes, one-alloca ones
+// included, and on frames of 2.2-2.5 GiB: the packed offsets are 32-bit,
+// so offsets past 2 GiB must come back unsigned.
+func TestRuntimeLayoutMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(0x5c4a7c))
+	aligns := []int64{1, 2, 4, 8, 16}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rnd.Intn(40)
+		minSize, maxSize := int64(1), int64(1)<<(1+rnd.Intn(20))
+		if trial%100 == 0 {
+			n, minSize, maxSize = 40, 56<<20, 64<<20
+		}
+		allocs := make([]Alloc, n)
+		for i := range allocs {
+			allocs[i] = Alloc{Size: minSize + rnd.Int63n(maxSize-minSize+1), Align: aligns[rnd.Intn(len(aligns))]}
+		}
+		r := rnd.Uint64()
+		got, want := make([]int64, n), make([]int64, n)
+		gs, ws := runtimeLayout(allocs, r, got, 16), runtimeLayoutRef(allocs, r, want, 16)
+		if gs != ws || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d (%d allocs, r=%#x): size %d offsets %v, reference %d %v", trial, n, r, gs, got, ws, want)
+		}
+	}
+}

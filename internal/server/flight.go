@@ -180,25 +180,32 @@ func (f *flightRecorder) sessions() int {
 // harness.Config.CellDone, which fires once per cell that runs with the
 // cell's full rows; their sum equals the trace tree's per-cell run.end
 // sums exactly (the run deltas sum to the cell's rows, and grid-rounded
-// cycles add exactly in any order).
+// cycles add exactly in any order). Each cell folds to its total and top
+// rows as it finishes: CellDone's rows are a reused buffer, and a session
+// need not hold every cell's rows until it ends.
 type flightCapture struct {
 	mu    sync.Mutex
 	cells map[string]cellCapture
 }
 
 type cellCapture struct {
-	rows []telemetry.Row
-	rng  map[string]uint64
+	total float64
+	top   []telemetry.Row
+	rng   map[string]uint64
 }
 
 func newFlightCapture() *flightCapture {
 	return &flightCapture{cells: make(map[string]cellCapture)}
 }
 
-func (fc *flightCapture) cellDone(cell string, rows []telemetry.Row, _, rngHealth map[string]uint64) {
+func (fc *flightCapture) cellDone(cell string, rows []telemetry.Row, rngHealth map[string]uint64) {
+	c := cellCapture{top: topRows(rows, flightTopRows), rng: rngHealth}
+	for _, r := range rows {
+		c.total += r.Cycles
+	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.cells[cell] = cellCapture{rows: rows, rng: rngHealth}
+	fc.cells[cell] = c
 }
 
 // summaries folds the capture and the session's final records into
@@ -219,11 +226,7 @@ func (fc *flightCapture) summaries(recs []exp.Record) []CellSummary {
 			index[rec.Cell] = i
 			cs := CellSummary{Cell: rec.Cell, Class: "ok"}
 			if c, ok := fc.cells["session/"+rec.Cell]; ok {
-				cs.RNG = c.rng
-				for _, r := range c.rows {
-					cs.TotalCycles += r.Cycles
-				}
-				cs.TopRows = topRows(c.rows, flightTopRows)
+				cs.TotalCycles, cs.TopRows, cs.RNG = c.total, c.top, c.rng
 			}
 			out = append(out, cs)
 		}

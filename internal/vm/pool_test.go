@@ -5,11 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/compile"
+	"repro/internal/harness"
+	"repro/internal/ir"
 	"repro/internal/layout"
+	"repro/internal/pbox"
 	"repro/internal/rng"
 	"repro/internal/vm"
 )
@@ -357,23 +362,112 @@ int main() {
 }
 
 // TestPoolZeroAllocSteadyState pins the headline property: a pooled
-// Get/Run/Put cycle in steady state allocates nothing.
+// Get/Run/Put cycle in steady state allocates nothing, under every
+// registered engine — defended calls lay their frames into the Machine's
+// slabs. It runs poolProgSrc and the defended-call probe
+// (testdata/defended_calls.c, whose header says what it exercises). The
+// fresh-engine cases build a new engine for every run, as a session cell
+// does, so an engine that fills a cache on first use fails them.
 func TestPoolZeroAllocSteadyState(t *testing.T) {
-	prog := compile.MustCompile("pool.c", poolProgSrc)
+	src, err := os.ReadFile(filepath.Join("testdata", "defended_calls.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := compile.MustCompile("defended_calls.c", string(src))
+	wide, _ := probe.FuncByName("wide")
+	if n := len(wide.Allocas) + 1; n <= pbox.DefaultConfig().MaxTableAllocas {
+		t.Fatalf("wide lays out %d objects with its guard: not a runtime-mode frame", n)
+	}
 	pool := vm.NewMachinePool(0)
 	env := &vm.Env{}
-	eng := layout.NewFixed()
 	opts := &vm.Options{TRNG: rng.SeededTRNG(1)}
-	run := func() {
-		m := pool.Get(prog, eng, env, opts)
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
+	for _, p := range []struct {
+		name string
+		prog *ir.Program
+	}{
+		{"pool", compile.MustCompile("pool.c", poolProgSrc)},
+		{"probe", probe},
+	} {
+		steady := func(t *testing.T, next func() layout.Engine) {
+			t.Helper()
+			run := func() {
+				m := pool.Get(p.prog, next(), env, opts)
+				if _, err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				pool.Put(m)
+			}
+			run() // warm the pool and every slab
+			if avg := testing.AllocsPerRun(20, run); avg != 0 {
+				t.Fatalf("pooled steady-state run allocates %.1f objects", avg)
+			}
 		}
-		pool.Put(m)
+		build := func(t *testing.T, name string, seed uint64) layout.Engine {
+			eng, err := harness.BuildEngine(name, p.prog, seed, harness.SaltPerf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+		for _, name := range harness.EngineNames() {
+			t.Run(p.name+"/"+name, func(t *testing.T) {
+				eng := build(t, name, 7)
+				steady(t, func() layout.Engine { return eng })
+			})
+		}
+		for _, name := range []string{"staticrand", "padding", "cleanstack"} {
+			t.Run(p.name+"/fresh-"+name, func(t *testing.T) {
+				engines := make([]layout.Engine, 22) // the warm run, then AllocsPerRun's 21
+				for i := range engines {
+					engines[i] = build(t, name, uint64(i))
+				}
+				steady(t, func() layout.Engine {
+					eng := engines[0]
+					engines = engines[1:]
+					return eng
+				})
+			})
+		}
 	}
-	run() // warm the pool and every slab
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Fatalf("pooled steady-state run allocates %.1f objects", avg)
+}
+
+// TestActiveFramesOwnOffsets takes a call-stack snapshot inside a callee,
+// then lets the run make more calls at the same depths, which lay their
+// frames into the slabs the snapshot's frames used: the snapshot must not
+// change.
+func TestActiveFramesOwnOffsets(t *testing.T) {
+	prog := compile.MustCompile("frames.c", `
+long leaf(long a) {
+	long x = a; long y = a + 1;
+	char buf[24];
+	buf[0] = readint();
+	return x + y + buf[0];
+}
+long main() {
+	long s = 0;
+	for (long i = 0; i < 16; i++) { s += leaf(i); }
+	return s;
+}`)
+	eng := layout.NewSmokestack(prog, rng.NewPseudo(3), nil)
+	var m0 *vm.Machine
+	var snap []vm.ActiveFrame
+	var want string
+	env := &vm.Env{Ints: func() int64 {
+		if snap == nil {
+			snap = m0.ActiveFrames()
+			want = fmt.Sprint(snap)
+		}
+		return 0
+	}}
+	m0 = vm.New(prog, eng, env, &vm.Options{TRNG: rng.SeededTRNG(1)})
+	if _, err := m0.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != 2 {
+		t.Fatalf("snapshot holds %d frames, want main and leaf", len(snap))
+	}
+	if got := fmt.Sprint(snap); got != want {
+		t.Fatalf("snapshot changed after later calls:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -232,29 +232,37 @@ type profAgg struct {
 	Cycles float64
 }
 
+// auxNames names the auxiliary counters a flush reports next to the rows,
+// in the order flushProfile adds them to Profile.aux.
+var auxNames = [...]string{
+	"vm.calls", "vm.hostcalls", "vm.hotview.miss", "vm.framepool.reuse",
+	"vm.framepool.alloc", "vm.segcache.hits", "vm.segcache.misses",
+}
+
 // Profile aggregates attribution across every Machine of one cell. All
 // Machines of a cell (clean run, injected run, repeat seeds) may share
 // one Profile; merges are mutex-protected and happen only at machine
-// run boundaries, never per step.
+// run boundaries, never per step. Reset empties it for the next cell.
 type Profile struct {
-	mu       sync.Mutex
-	ops      [ir.NumOps]profAgg
-	cats     [numProfCats]profAgg
-	fused    [numCops]uint64
-	counters map[string]uint64
+	mu sync.Mutex
+	profData
+}
+
+type profData struct {
+	ops   [ir.NumOps]profAgg
+	cats  [numProfCats]profAgg
+	fused [numCops]uint64
+	aux   [len(auxNames)]uint64
 }
 
 // NewProfile returns an empty profile ready to attach via Options.Prof.
-func NewProfile() *Profile { return &Profile{counters: map[string]uint64{}} }
+func NewProfile() *Profile { return &Profile{} }
 
-// AddCounter adds n to a named auxiliary counter (segment-cache hits,
-// frame-pool recycles, ...).
-func (p *Profile) AddCounter(name string, n uint64) {
-	if p == nil || n == 0 {
-		return
-	}
+// Reset empties the profile, so one that no Machine holds can serve
+// another cell.
+func (p *Profile) Reset() {
 	p.mu.Lock()
-	p.counters[name] += n
+	p.profData = profData{}
 	p.mu.Unlock()
 }
 
@@ -266,6 +274,12 @@ func (p *Profile) Rows() []telemetry.Row {
 	if p == nil {
 		return nil
 	}
+	return p.AppendRows(nil)
+}
+
+// AppendRows appends the rows Rows returns to buf, growing it at most
+// once, so a caller that reuses buf allocates nothing.
+func (p *Profile) AppendRows(buf []telemetry.Row) []telemetry.Row {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
@@ -279,28 +293,18 @@ func (p *Profile) Rows() []telemetry.Row {
 			n++
 		}
 	}
-	rows := make([]telemetry.Row, 0, n)
-	for op := range p.ops {
-		a := p.ops[op]
-		if a.Count == 0 && a.Cycles == 0 {
-			continue
+	rows := slices.Grow(buf, n)
+	for op, a := range p.ops {
+		if a.Count != 0 || a.Cycles != 0 {
+			rows = append(rows, telemetry.Row{Kind: "op", Name: ir.Op(op).String(), Count: a.Count, Cycles: telemetry.GridRound(a.Cycles)})
 		}
-		rows = append(rows, telemetry.Row{
-			Kind: "op", Name: ir.Op(op).String(),
-			Count: a.Count, Cycles: telemetry.GridRound(a.Cycles),
-		})
 	}
-	for c := range p.cats {
-		a := p.cats[c]
-		if a.Count == 0 && a.Cycles == 0 {
-			continue
+	for c, a := range p.cats {
+		if a.Count != 0 || a.Cycles != 0 {
+			rows = append(rows, telemetry.Row{Kind: "cat", Name: catNames[c], Count: a.Count, Cycles: telemetry.GridRound(a.Cycles)})
 		}
-		rows = append(rows, telemetry.Row{
-			Kind: "cat", Name: catNames[c],
-			Count: a.Count, Cycles: telemetry.GridRound(a.Cycles),
-		})
 	}
-	slices.SortFunc(rows, func(a, b telemetry.Row) int {
+	slices.SortFunc(rows[len(buf):], func(a, b telemetry.Row) int {
 		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
 			return c
 		}
@@ -326,24 +330,26 @@ func (p *Profile) Counters() map[string]uint64 {
 	if p == nil {
 		return nil
 	}
+	out := map[string]uint64{}
+	p.EachCounter(func(name string, n uint64) { out[name] = n })
+	return out
+}
+
+// EachCounter calls fn with every non-zero counter Counters returns,
+// without building the map.
+func (p *Profile) EachCounter(fn func(name string, n uint64)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fused := 0
-	for c, n := range p.fused {
-		if n != 0 && copIsFused(c) {
-			fused++
+	for i, n := range p.aux {
+		if n != 0 {
+			fn(auxNames[i], n)
 		}
-	}
-	out := make(map[string]uint64, len(p.counters)+fused)
-	for k, v := range p.counters {
-		out[k] = v
 	}
 	for c, n := range p.fused {
 		if n != 0 && copIsFused(c) {
-			out[fusedNames[c]] = n
+			fn(fusedNames[c], n)
 		}
 	}
-	return out
 }
 
 // flushProfile expands and merges the Machine's plain-field accumulators
@@ -400,26 +406,19 @@ func (m *Machine) flushProfile() {
 		p.cats[catHost].Cycles += m.profHostCycles
 	}
 	// Auxiliary counters.
-	addCounterLocked(p, "vm.calls", m.profCalls)
-	addCounterLocked(p, "vm.hostcalls", m.profHostCalls)
-	addCounterLocked(p, "vm.hotview.miss", m.profMemSlow)
-	addCounterLocked(p, "vm.framepool.reuse", m.profFrameReuse)
-	addCounterLocked(p, "vm.framepool.alloc", m.profFrameAlloc)
+	var segHits, segMisses uint64
 	if m.Mem != nil {
 		hits, misses := m.Mem.CacheStats()
-		addCounterLocked(p, "vm.segcache.hits", hits-m.profMemHits)
-		addCounterLocked(p, "vm.segcache.misses", misses-m.profMemMisses)
+		segHits, segMisses = hits-m.profMemHits, misses-m.profMemMisses
 		m.profMemHits, m.profMemMisses = hits, misses
+	}
+	for i, n := range [len(auxNames)]uint64{m.profCalls, m.profHostCalls, m.profMemSlow,
+		m.profFrameReuse, m.profFrameAlloc, segHits, segMisses} {
+		p.aux[i] += n
 	}
 	m.profCalls, m.profHostCalls, m.profHostCycles = 0, 0, 0
 	m.profMemSlow, m.profFrameReuse, m.profFrameAlloc = 0, 0, 0
 	p.mu.Unlock()
-}
-
-func addCounterLocked(p *Profile, name string, n uint64) {
-	if n != 0 {
-		p.counters[name] += n
-	}
 }
 
 // expandBlocks charges the compiled tier's basic-block counts to the

@@ -17,7 +17,7 @@ import (
 // equivalent New would have produced, at copy-on-reset cost: the sealed
 // Memory restores only the touched span of each segment (mem.Restore)
 // and keeps the bytes backing it, and every pooled structure —
-// register/argument/effective-offset slabs, the shadow stack, profiler
+// register/argument/effective-offset/layout slabs, the shadow stack, profiler
 // slabs, the jitter table — keeps its backing.
 //
 // Equivalence is exact, not approximate: arm() is the same code New runs,

@@ -10,13 +10,16 @@ package vm
 // into a bounds probe (has*) and an unchecked access (get*/put*, in
 // seghot_unsafe.go / seghot_generic.go), each small enough to inline
 // anywhere. The cores take each segment's (data, base, dataEnd) view
-// per access via Segment.View (also tiny) — segments cannot materialize
-// or grow while a core is running, only in the driver's slow paths
-// between core calls — and probe with has* before touching the bytes.
-// Semantics match Segment.contains exactly, including the
-// address-overflow guard and the unmaterialized-segment case (dataEnd ==
-// base fails every probe); writers check Segment.Writable at the call
-// site, mirroring the Write*At methods.
+// per access via Segment.View (also tiny) and probe with has* before
+// touching the bytes. Segments are backed on demand, but a segment's
+// backing and touched window grow only in Memory.FindSegment's segment
+// walk, which a core's miss reaches through the driver's slow paths
+// between core calls — never while a core is running — so a view stays
+// valid for the whole core call. Semantics match Segment.contains
+// exactly, including the address-overflow guard and the empty-window case
+// (an unbacked or untouched segment has dataEnd == base and fails every
+// probe); writers check Segment.Writable at the call site, mirroring the
+// Write*At methods.
 
 func has8(base, end, addr uint64) bool {
 	return addr >= base && addr+8 <= end && addr+8 >= addr

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -373,6 +374,10 @@ type Machine struct {
 	// frames: offsets rebased so base+offset lands in the right region,
 	// letting the call-free compiled core run unchanged.
 	effSlabs [][]int64
+	// laySlabs pools the per-depth buffers engines lay frames into
+	// (layout.Engine.Layout): a frame's offsets stay valid while it is
+	// live, since only the next call at the same depth reuses its slab.
+	laySlabs [][]int64
 
 	jitter []float64 // per-function cost multiplier (nil when disabled)
 
@@ -816,11 +821,14 @@ func (m *Machine) GlobalAddrByName(name string) (uint64, bool) {
 }
 
 // ActiveFrames returns the live call stack (innermost last). Attack code
-// uses this to model pointers an attacker has disclosed from memory.
+// uses this to model pointers an attacker has disclosed from memory. Each
+// frame owns its offsets: the Machine reuses its layout slabs once a frame
+// returns.
 func (m *Machine) ActiveFrames() []ActiveFrame {
 	out := make([]ActiveFrame, len(m.frames))
 	for i, fr := range m.frames {
 		out[i] = ActiveFrame{Fn: fr.fn, Base: fr.base, UnsafeBase: fr.ubase, Layout: fr.layout}
+		out[i].Layout.Offsets = slices.Clone(fr.layout.Offsets)
 	}
 	return out
 }
@@ -923,7 +931,7 @@ func (m *Machine) call(fn *ir.Function, args []int64) (int64, error) {
 	if len(m.frames) >= m.maxDepth {
 		return 0, &StackOverflow{Func: fn.Name}
 	}
-	fl := m.Engine.Layout(fn)
+	fl := m.Engine.Layout(fn, depthSlab(&m.laySlabs, len(m.frames), len(fn.Allocas)+1))
 	// The layout draw above may have pushed the engine's entropy source
 	// onto the terminal rung of its ladder; randomizing with dead entropy
 	// silently voids the defense, so the configured policy faults here.
@@ -971,7 +979,7 @@ func (m *Machine) call(fn *ir.Function, args []int64) (int64, error) {
 	// and the call-free compiled core run unchanged either way.
 	offsets := fl.Offsets
 	if fl.Regions != nil {
-		offsets = m.effSlab(len(m.frames)-1, len(fl.Offsets))
+		offsets = depthSlab(&m.effSlabs, len(m.frames)-1, len(fl.Offsets))
 		for i, off := range fl.Offsets {
 			if fl.Regions[i] == layout.RegionUnsafe {
 				offsets[i] = int64(ubase + uint64(off) - base)
@@ -1153,17 +1161,17 @@ func (m *Machine) popFrame() {
 	m.frames = m.frames[:len(m.frames)-1]
 }
 
-// effSlab returns an effective-offsets scratch slab for a multi-region
-// frame at the given depth; the caller fully overwrites all n slots. Same
-// pooling discipline as regSlab/argSlab.
-func (m *Machine) effSlab(depth, n int) []int64 {
-	for len(m.effSlabs) <= depth {
-		m.effSlabs = append(m.effSlabs, nil)
+// depthSlab returns n slots of the scratch slab slabs keeps for the given
+// call depth (effSlabs, laySlabs); the caller overwrites what it reads.
+// Same pooling discipline as regSlab/argSlab.
+func depthSlab(slabs *[][]int64, depth, n int) []int64 {
+	for len(*slabs) <= depth {
+		*slabs = append(*slabs, nil)
 	}
-	s := m.effSlabs[depth]
+	s := (*slabs)[depth]
 	if cap(s) < n {
 		s = make([]int64, n)
-		m.effSlabs[depth] = s
+		(*slabs)[depth] = s
 		return s
 	}
 	return s[:n]
