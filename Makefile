@@ -55,10 +55,12 @@ invariance:
 # smokestackd's self-test drives submit → stream → drain plus a traced
 # canary detection through the flight recorder and audit log; a span-mode
 # fig4 trace must fold through benchjson -tracetree, which exits non-zero
-# on any reconciliation mismatch or event outside the span tree; and the
-# defense matrix renders end-to-end. The metric and trace files live in a
-# private temporary directory, removed when the recipe exits, so
-# concurrent runs on one host cannot overwrite each other's files.
+# on any reconciliation mismatch or event outside the span tree, and a
+# second traced run must fold to the same bytes however its parallel cells
+# interleaved; and the defense matrix renders end-to-end. The metric and
+# trace files live in a private temporary directory, removed when the
+# recipe exits, so concurrent runs on one host cannot overwrite each
+# other's files.
 smoke:
 	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/dopbench -faults > /dev/null; \
@@ -66,7 +68,10 @@ smoke:
 	$(GO) run ./cmd/benchjson -metrics "$$dir/metrics.json" > /dev/null; \
 	$(GO) run ./cmd/smokestackd -addr 127.0.0.1:0 -selftest > /dev/null; \
 	$(GO) run ./cmd/dopbench -exp fig4 -trace "$$dir/spans.jsonl" > /dev/null; \
-	$(GO) run ./cmd/benchjson -tracetree "$$dir/spans.jsonl" > /dev/null; \
+	$(GO) run ./cmd/benchjson -tracetree "$$dir/spans.jsonl" > "$$dir/fold.txt"; \
+	$(GO) run ./cmd/dopbench -exp fig4 -trace "$$dir/spans2.jsonl" > /dev/null; \
+	$(GO) run ./cmd/benchjson -tracetree "$$dir/spans2.jsonl" > "$$dir/fold2.txt"; \
+	cmp "$$dir/fold.txt" "$$dir/fold2.txt"; \
 	$(GO) run ./cmd/dopbench -exp defenses -engines cleanstack,shadowstack,stackato > /dev/null
 
 # Full benchmark sweep, snapshotted to $(BENCH_NEXT) (see cmd/benchjson).

@@ -3,15 +3,26 @@
 // memory-corruption pattern of its real-world counterpart at the source
 // level: the same buffer, the same bug class, the same set of corruptible
 // locals, and a loop usable as a DOP gadget dispatcher.
+//
+// Like the paper's attacks, which restart one compiled binary rather than
+// rebuild it, every program is compiled once per process, on first use,
+// and shared: each call of a constructor returns the same *Program. The
+// VM's code cache and Machine pool key on the *ir.Program pointer, so
+// shared programs keep both at a fixed key set however many campaigns
+// run; a recompiled copy would add keys to each. Callers must not modify
+// a Program or its IR.
 package corpus
 
 import (
+	"sync"
+
 	"repro/internal/compile"
 	"repro/internal/ir"
 )
 
 // Program bundles a compiled vulnerable program with the metadata an
-// exploit developer would extract from its source/binary.
+// exploit developer would extract from its source/binary. Programs are
+// shared by every caller and every concurrent Machine: read-only.
 type Program struct {
 	Name   string
 	Source string
@@ -33,12 +44,29 @@ func build(name, vulnFunc, bufVar, src string) *Program {
 	}
 }
 
+// shared holds one corpus program, compiled by the first get.
+type shared struct {
+	once sync.Once
+	p    *Program
+}
+
+// get returns the program, running build on the first call only;
+// concurrent first callers wait for that one compile.
+func (s *shared) get(build func() *Program) *Program {
+	s.once.Do(func() { s.p = build() })
+	return s.p
+}
+
+// The named programs, one compile each.
+var listing1, indirectStack, dataIndexed, heapIndexed, librelp, wireshark, proftpd shared
+
 // Listing1 reproduces the paper's Listing 1: a gadget dispatcher loop whose
 // locals (req selects the virtual operation, size/step are its operands,
 // ctr stitches gadget invocations) sit above a fixed buffer that an input
 // routine overflows. Benign runs leave result == 0.
 func Listing1() *Program {
-	return build("listing1", "dispatch", "buf", `
+	return listing1.get(func() *Program {
+		return build("listing1", "dispatch", "buf", `
 // Listing 1 of the paper: minimal DOP-vulnerable dispatcher.
 long result;
 
@@ -76,6 +104,7 @@ long main() {
 	return 0;
 }
 `)
+	})
 }
 
 // IndirectStack is the RIPE-style indirect variant: the overflow first
@@ -83,7 +112,8 @@ long main() {
 // assignment through the pointer is an attacker-controlled arbitrary write.
 // The attacker aims it at the global 'gate' to reach leak_secret.
 func IndirectStack() *Program {
-	return build("indirect_stack", "handle", "buf", `
+	return indirectStack.get(func() *Program {
+		return build("indirect_stack", "handle", "buf", `
 long gate;
 long scratch;
 char secret[16];
@@ -120,6 +150,7 @@ long main() {
 	return gate;
 }
 `)
+	})
 }
 
 // DataIndexed models the data-segment-to-stack attack: a global table
@@ -129,7 +160,8 @@ long main() {
 // parks a pointer to a live local in a global, as event-driven C servers
 // commonly do).
 func DataIndexed() *Program {
-	return build("data_indexed", "service", "table", `
+	return dataIndexed.get(func() *Program {
+		return build("data_indexed", "service", "table", `
 char table[256];
 long *g_ctx;          // leaked pointer to a stack local
 char secret[16];
@@ -170,12 +202,14 @@ long main() {
 	return done;
 }
 `)
+	})
 }
 
 // HeapIndexed is the heap variant of DataIndexed: the attacker's write
 // primitive is an unchecked index into a heap allocation.
 func HeapIndexed() *Program {
-	return build("heap_indexed", "service", "hbuf", `
+	return heapIndexed.get(func() *Program {
+		return build("heap_indexed", "service", "hbuf", `
 long *g_ctx;
 char secret[16];
 long done;
@@ -216,6 +250,7 @@ long main() {
 	return done;
 }
 `)
+	})
 }
 
 // Librelp models CVE-2018-1000140: relpTcpChkPeerName copies each
@@ -226,7 +261,8 @@ long main() {
 // lstnInit's frame, whose locals form the DOP dispatcher (numSocks) and
 // gadget operands (authLevel). Benign runs never leak the key.
 func Librelp() *Program {
-	return build("librelp", "chkPeerName", "allNames", `
+	return librelp.get(func() *Program {
+		return build("librelp", "chkPeerName", "allNames", `
 char privkey[32];
 long leaked;
 
@@ -290,6 +326,7 @@ long main() {
 	return leaked;
 }
 `)
+	})
 }
 
 // Wireshark models CVE-2014-2299: the mpeg frame reader copies a
@@ -298,7 +335,8 @@ long main() {
 // operands (col, cinfo). The entire malicious trace file is committed
 // before the run — the strictest offline-payload setting.
 func Wireshark() *Program {
-	return build("wireshark", "dissect_record", "pd", `
+	return wireshark.get(func() *Program {
+		return build("wireshark", "dissect_record", "pd", `
 char secret_cfg[16];
 long pwned;
 
@@ -337,6 +375,7 @@ long main() {
 	return pwned;
 }
 `)
+	})
 }
 
 // Proftpd models CVE-2006-5815: sreplace()'s negative-length sstrncpy gives
@@ -346,7 +385,8 @@ long main() {
 // past ASLR. We model the 8-deep pointer chain in globals/heap and the
 // dispatcher loop in the command handler.
 func Proftpd() *Program {
-	return build("proftpd", "sreplace", "rbuf", `
+	return proftpd.get(func() *Program {
+		return build("proftpd", "sreplace", "rbuf", `
 char privkey[48];
 long *chain0;          // base pointer: not randomized (data segment)
 long *g_cursor;        // persistent walker (the corrupted metadata analogue)
@@ -400,9 +440,11 @@ long main() {
 	return sent;
 }
 `)
+	})
 }
 
-// All returns every corpus program (compiled), for sweep-style tests.
+// All returns every named corpus program, the same shared compiles the
+// constructors return, for sweep-style tests.
 func All() []*Program {
 	return []*Program{
 		Listing1(), IndirectStack(), DataIndexed(), HeapIndexed(),

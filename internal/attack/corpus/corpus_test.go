@@ -2,6 +2,7 @@ package corpus_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/attack/corpus"
@@ -9,6 +10,73 @@ import (
 	"repro/internal/rng"
 	"repro/internal/vm"
 )
+
+// constructors lists the named programs in All's order.
+var constructors = []func() *corpus.Program{
+	corpus.Listing1, corpus.IndirectStack, corpus.DataIndexed, corpus.HeapIndexed,
+	corpus.Librelp, corpus.Wireshark, corpus.Proftpd,
+}
+
+// TestConcurrentFirstCallsShareOneCompile races first calls from several
+// goroutines (make race runs it under -race): every goroutine must get
+// the same programs. It is the file's first test, so the named programs
+// are first calls here, and no other test asks for these spill counts.
+func TestConcurrentFirstCallsShareOneCompile(t *testing.T) {
+	const goroutines = 8
+	spills := []int{5, 6, 7, 8, 9, 10, 11, 12}
+	got := make([][]*corpus.Program, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ps := corpus.All()
+			for _, k := range spills {
+				ps = append(ps, corpus.Listing1WithSpills(k))
+			}
+			got[g] = ps
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		for i, p := range got[g] {
+			if p != got[0][i] {
+				t.Fatalf("goroutine %d got its own copy of %s", g, p.Name)
+			}
+		}
+	}
+}
+
+// TestConstructorsShareOneCompile pins the compile-once contract: a
+// constructor returns the same *Program on every call, All returns those
+// same programs, and Listing1WithSpills keeps one program per clamped
+// spill count. A repeat call allocates nothing, so it compiles nothing.
+func TestConstructorsShareOneCompile(t *testing.T) {
+	all := corpus.All()
+	for i, ctor := range constructors {
+		p := ctor()
+		if ctor() != p || all[i] != p {
+			t.Errorf("%s: repeated calls returned different programs", p.Name)
+		}
+	}
+	for _, c := range []struct{ k, clamped int }{{-2, 0}, {0, 0}, {3, 3}, {24, 24}, {30, 24}} {
+		if corpus.Listing1WithSpills(c.k) != corpus.Listing1WithSpills(c.clamped) {
+			t.Errorf("Listing1WithSpills(%d) is not the program for %d spills", c.k, c.clamped)
+		}
+	}
+	if corpus.Listing1WithSpills(3) == corpus.Listing1WithSpills(4) {
+		t.Error("different spill counts share one program")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, ctor := range constructors {
+			ctor()
+		}
+		corpus.Listing1WithSpills(3)
+	})
+	if allocs != 0 {
+		t.Errorf("repeat calls allocate %v objects, want 0 (no recompile)", allocs)
+	}
+}
 
 func TestAllCompileWithMetadata(t *testing.T) {
 	for _, p := range corpus.All() {

@@ -10,16 +10,24 @@ import (
 	"strings"
 )
 
-// Listing1WithSpills builds the Listing 1 dispatcher with extra dead spill
-// slots in the vulnerable frame (0 ≤ spills ≤ 24). More objects mean more
-// permutations for the same attack surface.
+// maxSpills bounds Listing1WithSpills' extra frame objects.
+const maxSpills = 24
+
+// spilled holds the Listing1WithSpills programs, indexed by spill count.
+var spilled [maxSpills + 1]shared
+
+// Listing1WithSpills returns the Listing 1 dispatcher with extra dead
+// spill slots in the vulnerable frame, spills clamped to [0, 24]. More
+// objects mean more permutations for the same attack surface. Each
+// clamped count compiles once and is shared, like the named programs.
 func Listing1WithSpills(spills int) *Program {
-	if spills < 0 {
-		spills = 0
-	}
-	if spills > 24 {
-		spills = 24
-	}
+	spills = min(max(spills, 0), maxSpills)
+	return spilled[spills].get(func() *Program { return buildSpills(spills) })
+}
+
+// buildSpills compiles the Listing 1 dispatcher with the given number of
+// extra spill slots.
+func buildSpills(spills int) *Program {
 	var decls, inits strings.Builder
 	for i := 0; i < spills; i++ {
 		fmt.Fprintf(&decls, "\tlong spill%d;\n", i)

@@ -113,7 +113,9 @@ func overheadCell(cfg Config, name string) ([]exp.Record, error) {
 // observable layout vectors — stack bias, unsafe-stack bias, every alloca
 // offset, every integrity slot, and the frame sizes. Bits are log2 of the
 // distinct count: 0 for compile-time-fixed layouts, per-run bits for
-// rebasing schemes, per-invocation bits for Smokestack/Stackato.
+// rebasing schemes, per-invocation bits for Smokestack/Stackato. The
+// program is the corpus's shared compile: layouts land in buf, and the
+// cell reads the IR without modifying it.
 func defenseEntropyCell(cfg Config, name string) ([]exp.Record, error) {
 	p := corpus.Listing1()
 	fn, ok := p.Prog.FuncByName(p.VulnFunc)

@@ -60,7 +60,9 @@ func entropyCellsFor(cfg Config, spills []int, attempts int) []exp.Cell {
 	return cells
 }
 
-// entropyCell measures one sweep point.
+// entropyCell measures one sweep point. Each spill count's program
+// compiles once per process, so repeated sweeps reuse its code-cache
+// entry and pooled Machines.
 func entropyCell(cfg Config, k, attempts int) ([]exp.Record, error) {
 	p := corpus.Listing1WithSpills(k)
 	s := attack.DirectStackScenario(p)

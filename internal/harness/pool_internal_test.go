@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/attack/corpus"
 	"repro/internal/layout"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -74,4 +78,52 @@ func TestFailedRunOnceReleasesMachine(t *testing.T) {
 	if s4 := machinePool.Stats(); s4 != s3 {
 		t.Fatalf("NoPool run touched the pool: %+v -> %+v", s3, s4)
 	}
+}
+
+// TestRepeatCampaignsReuseCorpus is the growth pin for the shared attack
+// corpus: a second pass of every experiment that attacks the corpus
+// compiles no program into the process-wide code cache and constructs no
+// Machine, because its cells reuse the first pass's compiled programs and
+// the Machines pooled under them. Both passes must also leave every corpus
+// program's IR and frame facts as compiled: all cells share one copy.
+func TestRepeatCampaignsReuseCorpus(t *testing.T) {
+	progs := corpus.All()
+	for _, k := range defaultEntropySpills {
+		progs = append(progs, corpus.Listing1WithSpills(k))
+	}
+	before := make([]string, len(progs))
+	for i, p := range progs {
+		before[i] = dumpCorpusProgram(p)
+	}
+	cfg := Config{Seed: 42, Parallel: 1}
+	pass := func() (programs int, misses uint64) {
+		t.Helper()
+		if _, err := Run(cfg, "pentest", "cve", "bypass", "entropy", "defenses", "ablation-rng"); err != nil {
+			t.Fatal(err)
+		}
+		return vm.DefaultCodeCache().Len(), MachinePoolStats().Misses
+	}
+	progs1, misses1 := pass()
+	progs2, misses2 := pass()
+	if progs2 != progs1 || misses2 != misses1 {
+		t.Errorf("second pass added %d code-cache programs and %d pool misses, want 0 and 0",
+			progs2-progs1, misses2-misses1)
+	}
+	for i, p := range progs {
+		if dumpCorpusProgram(p) != before[i] {
+			t.Errorf("%s: program changed while the experiments ran", p.Name)
+		}
+	}
+}
+
+// dumpCorpusProgram renders everything a caller could modify in a shared
+// corpus program: its metadata, its printed IR and each function's frame
+// facts.
+func dumpCorpusProgram(p *corpus.Program) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %s %s\n%s\n%s", p.Name, p.VulnFunc, p.BufVar, p.Source, p.Prog)
+	for _, fn := range p.Prog.Funcs {
+		fmt.Fprintf(&b, "%s %+v\n", fn.Name, *fn.Frame())
+	}
+	return b.String()
 }

@@ -71,8 +71,10 @@ func recordResult(r exp.Record) attack.Result {
 
 // campaignCells builds one cell per (scenario, engine) pair. Each cell
 // reconstructs its scenario from a fresh matrix() call: scenarios carry
-// exploit closures and a compiled program, and giving every cell a
-// private copy keeps concurrent campaigns fully isolated.
+// exploit closures, and giving every cell private ones keeps concurrent
+// campaigns isolated. The compiled program inside is shared, not
+// private: the corpus compiles each program once per process, so every
+// cell attacking it hits the same code-cache entry and pool key.
 func campaignCells(cfg Config, experiment string, engines []string,
 	matrix func() []*attack.Scenario, seedParts func(s *attack.Scenario, engName string) []string) []exp.Cell {
 	var cells []exp.Cell

@@ -98,6 +98,61 @@ func TestLabeledMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestCellOutcomeSeriesMatchRecords runs a session whose cells end both
+// ok and with injected entropy faults. The server counts outcomes per
+// (engine, class) series; its /metrics lines for the family must equal
+// the exposition of one Inc per streamed record, so folding the counts
+// changes nothing a scraper sees.
+func TestCellOutcomeSeriesMatchRecords(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	resp := postSession(t, ts, fmt.Sprintf(
+		`{"tenant":"t1","program":%q,"engines":["fixed","padding","smokestack+aes-10"],"seed":7,"runs":3,"faults":{"entropy_period":1,"entropy_burst":1}}`,
+		testSrc))
+	recs := decodeRecords(t, resp.Body)
+	resp.Body.Close()
+
+	ref := telemetry.NewRegistry()
+	classes := map[string]int{}
+	for _, rec := range recs {
+		class := rec.ErrClass
+		if rec.Err == "" {
+			class = "ok"
+		} else if class == "" {
+			class = "error"
+		}
+		classes[class]++
+		ref.CounterWith("server.cells.outcome",
+			map[string]string{"engine": rec.Labels["engine"], "class": class}).Inc()
+	}
+	if classes["ok"] == 0 || len(classes) < 2 {
+		t.Fatalf("record classes %v: want ok cells and faulted cells", classes)
+	}
+	family := func(exposition string) []string {
+		var out []string
+		for _, line := range strings.Split(exposition, "\n") {
+			if strings.HasPrefix(line, "smokestack_server_cells_outcome{") ||
+				line == "# TYPE smokestack_server_cells_outcome counter" {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	var want bytes.Buffer
+	if err := ref.Snapshot().WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	got := mustRead(mresp.Body)
+	mresp.Body.Close()
+	if g, w := family(got), family(want.String()); !slices.Equal(g, w) {
+		t.Fatalf("cells.outcome series:\n%s\nwant, counting per record:\n%s",
+			strings.Join(g, "\n"), strings.Join(w, "\n"))
+	}
+}
+
 // TestTracedSessionEndToEnd is the server-side observability acceptance
 // path, run by `make race`: a traced session with a canary detection is
 // observable through the flight recorder, the folded trace (reconciling

@@ -37,6 +37,7 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -442,6 +443,14 @@ func (s *Server) observeOutcome(tenant string, recs []exp.Record, wall time.Dura
 	reg.Counter("server.sessions." + outcome).Inc()
 	reg.CounterWith("server.sessions.outcome",
 		map[string]string{"tenant": tenant, "outcome": outcome}).Inc()
+	// Count per (engine, class) first, then look each labeled series up
+	// once: a session's records fall into a few series, and every lookup
+	// builds a label map and key.
+	type series struct {
+		engine, class string
+		n             uint64
+	}
+	var tally []series
 	for _, rec := range recs {
 		class := rec.ErrClass
 		if rec.Err == "" {
@@ -449,8 +458,17 @@ func (s *Server) observeOutcome(tenant string, recs []exp.Record, wall time.Dura
 		} else if class == "" {
 			class = "error"
 		}
+		engine := rec.Labels["engine"]
+		i := slices.IndexFunc(tally, func(c series) bool { return c.engine == engine && c.class == class })
+		if i < 0 {
+			i = len(tally)
+			tally = append(tally, series{engine: engine, class: class})
+		}
+		tally[i].n++
+	}
+	for _, c := range tally {
 		reg.CounterWith("server.cells.outcome",
-			map[string]string{"engine": rec.Labels["engine"], "class": class}).Inc()
+			map[string]string{"engine": c.engine, "class": c.class}).Add(c.n)
 	}
 	s.cfg.Log.Printf("session tenant=%s records=%d wall=%v outcome=%s", tenant, len(recs), wall, outcome)
 	return outcome

@@ -346,7 +346,7 @@ func TestFoldTraceRoundTrip(t *testing.T) {
 	if total := root.TotalCycles(); total != want {
 		t.Fatalf("root TotalCycles %v != %v", total, want)
 	}
-	// Children are ordered by first sequence number.
+	// Children are ordered by cell.
 	if root.Children[0].Cell != "session/a" || root.Children[1].Cell != "session/b" {
 		t.Fatalf("child order: %s, %s", root.Children[0].Cell, root.Children[1].Cell)
 	}
@@ -359,6 +359,60 @@ func TestFoldTraceRoundTrip(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("tree rendering missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestFoldTraceIgnoresInterleaving folds one event set under two
+// interleavings of its emitters, as concurrent cells produce them: each
+// emitter's own events keep their order, but the sequence numbers differ,
+// and so does which sibling span emits first. The rendered trees must be
+// byte-identical.
+func TestFoldTraceIgnoresInterleaving(t *testing.T) {
+	root := NewSpan("t1")
+	compile := root.Child("compile")
+	// One emitter per cell; the shared compile span gets one event per
+	// cell, emitted before every cell or after them all.
+	var emitters [][]Event
+	var compiles []Event
+	for _, cell := range []string{"e/a", "e/b", "e/c"} {
+		cs := root.Child("cell", cell)
+		evs := []Event{{Kind: "cell.start", Cell: cell, Trace: cs.Trace, Span: cs.ID, Parent: cs.Parent}}
+		for run := 1; run <= 2; run++ {
+			rs := cs.Child("run", fmt.Sprint(run), cell)
+			rows := []Row{{Kind: "op", Name: "add", Count: uint64(run), Cycles: GridRound(float64(run) * 1.5)}}
+			evs = append(evs,
+				Event{Kind: "run.start", Cell: cell, Trace: rs.Trace, Span: rs.ID, Parent: rs.Parent},
+				Event{Kind: "run.end", Cell: cell, Trace: rs.Trace, Span: rs.ID, Parent: rs.Parent,
+					Fields: map[string]any{"rows": rows, "total_cycles": rows[0].Cycles}})
+		}
+		evs = append(evs, Event{Kind: "cell.end", Cell: cell, Trace: cs.Trace, Span: cs.ID, Parent: cs.Parent})
+		emitters = append(emitters, evs)
+		compiles = append(compiles, Event{Kind: "compile", Trace: compile.Trace, Span: compile.ID,
+			Parent: compile.Parent, Fields: map[string]any{"prog": cell}})
+	}
+	fold := func(order []int, compileFirst bool) string {
+		var evs []Event
+		if compileFirst {
+			evs = append(evs, compiles...)
+		}
+		for _, i := range order {
+			evs = append(evs, emitters[i]...)
+		}
+		if !compileFirst {
+			evs = append(evs, compiles...)
+		}
+		for i := range evs {
+			evs[i].Seq = uint64(i + 1)
+		}
+		var buf bytes.Buffer
+		if err := FoldTrace(evs).Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first, second := fold([]int{0, 1, 2}, true), fold([]int{2, 0, 1}, false)
+	if first != second {
+		t.Fatalf("fold depends on emission order:\n%s\nvs\n%s", first, second)
 	}
 }
 

@@ -9,6 +9,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -83,7 +84,11 @@ func EventRows(e Event) (rows []Row, total float64, ok bool) {
 
 // FoldTrace reconstructs the span tree from a flat event stream. Spans
 // referenced only as parents are synthesized (a trace fragment still folds
-// into a rooted tree); events and children are ordered by sequence number.
+// into a rooted tree). A span keeps its own events in sequence order and
+// takes its Parent, Trace, Kind and Cell from the earliest event carrying
+// each. Siblings are ordered by (cell, kind, span ID): a key that depends
+// only on the set of events, not on the order in which concurrent cells
+// happened to emit them, so two traces of one run fold to the same text.
 func FoldTrace(events []Event) *TraceTree {
 	nodes := make(map[string]*SpanNode)
 	get := func(id string) *SpanNode {
@@ -101,18 +106,6 @@ func FoldTrace(events []Event) *TraceTree {
 			continue
 		}
 		n := get(e.Span)
-		if n.Parent == "" {
-			n.Parent = e.Parent
-		}
-		if n.Trace == "" {
-			n.Trace = e.Trace
-		}
-		if n.Kind == "" {
-			n.Kind = e.Kind
-		}
-		if n.Cell == "" {
-			n.Cell = e.Cell
-		}
 		n.Events = append(n.Events, e)
 		if e.Parent != "" {
 			get(e.Parent)
@@ -129,6 +122,12 @@ func FoldTrace(events []Event) *TraceTree {
 	for _, id := range ids {
 		n := nodes[id]
 		sort.Slice(n.Events, func(i, j int) bool { return n.Events[i].Seq < n.Events[j].Seq })
+		for _, e := range n.Events {
+			n.Parent = cmp.Or(n.Parent, e.Parent)
+			n.Trace = cmp.Or(n.Trace, e.Trace)
+			n.Kind = cmp.Or(n.Kind, e.Kind)
+			n.Cell = cmp.Or(n.Cell, e.Cell)
+		}
 		for _, r := range n.Rows {
 			n.Cycles += r.Cycles
 		}
@@ -139,28 +138,15 @@ func FoldTrace(events []Event) *TraceTree {
 		}
 	}
 	order := func(ns []*SpanNode) {
-		sort.Slice(ns, func(i, j int) bool { return firstSeq(ns[i]) < firstSeq(ns[j]) })
+		slices.SortFunc(ns, func(a, b *SpanNode) int {
+			return cmp.Or(strings.Compare(a.Cell, b.Cell), strings.Compare(a.Kind, b.Kind), strings.Compare(a.ID, b.ID))
+		})
 	}
 	for _, n := range nodes {
 		order(n.Children)
 	}
 	order(t.Roots)
 	return t
-}
-
-// firstSeq is a node's earliest observed sequence number (synthesized
-// nodes order by their first child).
-func firstSeq(n *SpanNode) uint64 {
-	if len(n.Events) > 0 {
-		return n.Events[0].Seq
-	}
-	best := uint64(0)
-	for i, c := range n.Children {
-		if s := firstSeq(c); i == 0 || s < best {
-			best = s
-		}
-	}
-	return best
 }
 
 // MergeRows folds b into a by (kind, name), returning the merged slice

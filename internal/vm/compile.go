@@ -287,8 +287,10 @@ func NewCodeCache() *CodeCache {
 
 // defaultCodeCache backs every Machine that does not supply its own cache.
 // Entries are immutable pure functions of their keys and are retained for
-// the process lifetime (keys hold program pointers; programs are few and
-// long-lived in every current usage).
+// the process lifetime. Keys hold program pointers, so the cache stays
+// bounded only because its programs are few and compiled once: the
+// workloads and the attack corpus once per process, while inline session
+// programs use private caches.
 var defaultCodeCache = NewCodeCache()
 
 // DefaultCodeCache returns the process-wide compiled-code cache backing

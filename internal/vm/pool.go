@@ -36,6 +36,9 @@ type MachinePool struct {
 
 	// maxPerKey bounds retained Machines per key; excess Puts are dropped
 	// so pool growth stays bounded by grid concurrency, not grid size.
+	// That bound needs a fixed key set: callers share one *ir.Program
+	// per program (workload.Prog and the attack corpus compile once per
+	// process), since a recompiled copy is a new key and a new Machine.
 	maxPerKey int
 
 	hits     atomic.Uint64
